@@ -1,29 +1,30 @@
-"""Tokenizer for the from-scratch XML parser.
+"""Scanner for the from-scratch XML parser.
 
-The lexer turns a character stream into a flat stream of :class:`Token`
-objects: start tags (with already-parsed attributes), end tags, character
-data, CDATA sections, comments, processing instructions and the DOCTYPE
-declaration.  Entity references in character data and attribute values are
-resolved here (the five XML built-ins plus decimal/hex character references).
-
-The split between lexer and parser keeps each half small: the lexer knows
-about characters and escaping, the parser about well-formedness (matching
-tags, a single root, ...).
+:func:`scan` walks an in-memory string once and yields one tuple per token.
+Compiled patterns match tags, attributes and names; ``str.find`` skips the
+bodies of comments, CDATA sections and PIs.  Entity and character references
+are resolved here; :class:`Lexer` wraps the scanner in :class:`Token` objects.
+Positions are character offsets: line and column are derived from an offset
+only when an error is raised (:func:`position`), and every character but
+``\\n`` counts as a column, ``\\r`` included.
 """
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Iterator
+from typing import Iterator, Optional
 
 from ..errors import XmlSyntaxError
 
-__all__ = ["TokenType", "Token", "Lexer", "unescape", "NAME_START", "is_name"]
+__all__ = ["TokenType", "Token", "Lexer", "scan", "position", "unescape",
+           "NAME_START", "is_name"]
 
 
 class TokenType(Enum):
-    """Kinds of lexical tokens emitted by :class:`Lexer`."""
+    """Kinds of lexical tokens emitted by :func:`scan` and :class:`Lexer`."""
 
     START_TAG = auto()      # <name attr="v" ...>   (self_closing False)
     END_TAG = auto()        # </name>
@@ -53,246 +54,262 @@ class Token:
     data: str = ""
 
 
-_BUILTIN_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
+# Module-level aliases: attribute lookups on an Enum class are slow.
+START_TAG, END_TAG, TEXT, CDATA, COMMENT, PI, DOCTYPE, EOF = TokenType
 
-NAME_START = set("_:") | {chr(c) for c in range(ord("a"), ord("z") + 1)} | {
-    chr(c) for c in range(ord("A"), ord("Z") + 1)
-}
-_NAME_CHARS = NAME_START | set("-.0123456789")
+_BUILTIN_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
+
+NAME_START = set("_:" + string.ascii_letters)
+
+# A name starts with a letter, '_' or ':' and goes on with letters, digits,
+# '_', ':', '.' or '-' (``isalnum`` is exactly ``\w`` minus '_').  ``\w``
+# also admits non-decimal numerals such as '²' as a first character, so
+# each new name still passes ``_bad_start``.
+_SPACE = "[ \t\r\n]*"
+_NAME = r"(?:[^\W\d]|:)[\w:.\-]*"
+_SKIP_SPACE = re.compile(_SPACE)
+_NAME_RE = re.compile(_NAME)
+# A start tag's name (and "/>" or ">" when it has no attributes), an end
+# tag, or a text run; anything else starts at a '<' that ``_markup`` scans.
+_TOKEN = re.compile(rf"<({_NAME}){_SPACE}(/?>)?|</({_NAME}){_SPACE}>|([^<]+)")
+_ATTRIBUTE = re.compile(
+    rf"""({_NAME}){_SPACE}={_SPACE}(?:"([^"]*)"|'([^']*)'){_SPACE}(/?>)?"""
+)
+_DOCTYPE_BODY = re.compile(r"[^\[>]*")
+# The internal subset runs to the first ']' outside quoted literals,
+# comments and processing instructions; an unclosed one ends the match.
+_SUBSET = re.compile(r"""(?:[^\]"'<]+|"[^"]*"|'[^']*'|<!--.*?-->|<\?.*?\?>|<(?!!--|\?))*+""", re.S)
+
+
+def _bad_start(name: str) -> bool:
+    return not name[0].isalpha() and name[0] not in "_:"
 
 
 def is_name(text: str) -> bool:
-    """True when ``text`` is a valid XML name (ASCII subset)."""
-    if not text or text[0] not in NAME_START and not text[0].isalpha():
-        return False
-    return all(c in _NAME_CHARS or c.isalnum() for c in text)
+    """True when ``text`` is a valid XML name (by the scanner's name rule)."""
+    return _NAME_RE.fullmatch(text) is not None and not _bad_start(text)
 
 
-def unescape(text: str, line: int = 0, column: int = 0) -> str:
-    """Resolve entity and character references in ``text``."""
+def position(source: str, offset: int) -> tuple[int, int]:
+    """1-based ``(line, column)`` of character ``offset`` in ``source``."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _error(source: str, message: str, offset: int) -> XmlSyntaxError:
+    return XmlSyntaxError(message, *position(source, offset))
+
+
+def unescape(text: str, source: Optional[str] = None, offset: int = 0) -> str:
+    """Resolve entity and character references in ``text``.
+
+    When ``text`` was taken from ``source`` at ``offset``, an error names the
+    line and column of the offending reference there.
+    """
     if "&" not in text:
         return text
     out: list[str] = []
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
+    while (amp := text.find("&", i)) != -1:
+        out.append(text[i:amp])
+        end = text.find(";", amp + 1)
+        name = text[amp + 1 : end]
         if end == -1:
-            raise XmlSyntaxError("unterminated entity reference", line, column)
-        name = text[i + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
-            try:
-                out.append(chr(int(name[2:], 16)))
-            except ValueError:
-                raise XmlSyntaxError(f"bad character reference &{name};", line, column)
-        elif name.startswith("#"):
-            try:
-                out.append(chr(int(name[1:])))
-            except ValueError:
-                raise XmlSyntaxError(f"bad character reference &{name};", line, column)
+            message = "unterminated entity reference"
         elif name in _BUILTIN_ENTITIES:
+            message = ""
             out.append(_BUILTIN_ENTITIES[name])
+        elif name.startswith("#"):
+            hexadecimal = name[1:2] in ("x", "X")
+            try:
+                out.append(chr(int(name[2:], 16) if hexadecimal else int(name[1:])))
+                message = ""
+            except (ValueError, OverflowError):
+                message = f"bad character reference &{name};"
         else:
-            raise XmlSyntaxError(f"unknown entity &{name};", line, column)
+            message = f"unknown entity &{name};"
+        if message:
+            if source is None:
+                raise XmlSyntaxError(message)
+            raise _error(source, message, offset + amp)
         i = end + 1
+    out.append(text[i:])
     return "".join(out)
 
 
+def _read_name(source: str, pos: int) -> int:
+    """End offset of the name at ``pos``; raises when there is none."""
+    match = _NAME_RE.match(source, pos)
+    if match is None or _bad_start(match.group()):
+        raise _error(source, f"expected a name, found {source[pos:pos + 1]!r}", pos)
+    return match.end()
+
+
+def _new_name(names: dict[str, str], source: str, pos: int) -> str:
+    """Check a name not seen before, at ``pos``, and record it in ``names``."""
+    name = source[pos : _read_name(source, pos)]
+    names[name] = name
+    return name
+
+
+def _skip_space(source: str, pos: int) -> int:
+    return _SKIP_SPACE.match(source, pos).end()  # type: ignore[union-attr]
+
+
+def _tag_error(source: str, pos: int, tag: str) -> XmlSyntaxError:
+    """The error for start tag ``<tag`` that stops parsing at ``pos``."""
+    pos = _skip_space(source, pos)
+    if pos == len(source):
+        return _error(source, f"unterminated start tag <{tag}", pos)
+    if source[pos] == "/":
+        return _error(source, "expected '>'", pos + 1)
+    name_end = _read_name(source, pos)
+    equals = _skip_space(source, name_end)
+    if not source.startswith("=", equals):
+        return _error(source, "expected '='", equals)
+    quote = _skip_space(source, equals + 1)
+    if source[quote : quote + 1] not in ("'", '"'):
+        return _error(source, "attribute values must be quoted", quote)
+    return _error(source, f"unterminated attribute {source[pos:name_end]}", quote + 1)
+
+
+def _doctype(source: str, pos: int) -> tuple[TokenType, str, str, int]:
+    """Name, internal subset and end offset of the DOCTYPE at ``pos``."""
+    start = _skip_space(source, pos + len("<!DOCTYPE"))
+    pos = _read_name(source, start)
+    name, internal = source[start:pos], ""
+    while True:
+        pos = _DOCTYPE_BODY.match(source, pos).end()  # type: ignore[union-attr]
+        if pos == len(source):
+            raise _error(source, "unterminated DOCTYPE declaration", pos)
+        if source[pos] == ">":
+            return DOCTYPE, name, internal, pos + 1
+        end = _SUBSET.match(source, pos + 1).end()  # type: ignore[union-attr]
+        if not source.startswith("]", end):
+            raise _error(source, "unterminated DOCTYPE internal subset", pos + 1)
+        internal, pos = source[pos + 1 : end], end + 1
+
+
+def scan(source: str) -> Iterator[tuple]:
+    """Yield ``(kind, offset, value, extra, self_closing)`` for each token.
+
+    ``value`` is the tag name, text, comment body, PI target or DOCTYPE name;
+    ``extra`` is a start tag's attributes, a PI's data or the DOCTYPE's
+    internal subset, else ``None``.  Raises :class:`XmlSyntaxError` on
+    lexical errors, with the position of the offending token.
+    """
+    match_token = _TOKEN.match
+    names: dict[str, str] = {}  # each distinct name, checked once and shared
+    n = len(source)
+    pos = 0
+    while pos < n:
+        match = match_token(source, pos)
+        if match is None:
+            kind, value, extra, end = _markup(source, pos)
+            yield kind, pos, value, extra, False
+            pos = end
+            continue
+        group = match.lastindex
+        if group == 4:
+            text = match[4]
+            if "]]>" in text:
+                raise _error(source, "']]>' is not allowed in character data", pos)
+            if "&" in text:
+                text = unescape(text, source, pos)
+            yield TEXT, pos, text, None, False
+        elif group == 3:
+            name = names.get(match[3]) or _new_name(names, source, pos + 2)
+            yield END_TAG, pos, name, None, False
+        else:
+            tag, close = match.group(1, 2)
+            tag = names.get(tag) or _new_name(names, source, pos + 1)
+            attributes: dict[str, str] = {}
+            end = match.end()
+            while close is None:
+                attribute = _ATTRIBUTE.match(source, end)
+                if attribute is None:
+                    raise _tag_error(source, end, tag)
+                name, raw, raw_apos, close = attribute.groups()
+                name = names.get(name) or _new_name(names, source, end)
+                raw = raw_apos if raw is None else raw
+                if "<" in raw:
+                    raise _error(source, "'<' is not allowed in attribute values", end)
+                if name in attributes:
+                    raise _error(source, f"duplicate attribute {name!r}", end)
+                # XML 1.0 attribute-value normalisation: literal whitespace
+                # characters become spaces (character references keep theirs).
+                value = raw.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+                if "&" in value:
+                    value = unescape(value, source, attribute.start(2 if raw_apos is None else 3))
+                attributes[name] = value
+                end = attribute.end()
+            yield START_TAG, pos, tag, attributes, close == "/>"
+            pos = end
+            continue
+        pos = match.end()
+
+
+def _markup(source: str, pos: int) -> tuple[TokenType, str, Optional[str], int]:
+    """Kind, value, extra and end of the PI, comment, CDATA or DOCTYPE at ``pos``.
+
+    Also reports every ``<`` that starts no well-formed tag.
+    """
+    mark = source[pos + 1 : pos + 2]
+    if mark == "/":
+        name_end = _read_name(source, pos + 2)
+        raise _error(source, "expected '>'", _skip_space(source, name_end))
+    if mark == "?":
+        target_end = _read_name(source, pos + 2)
+        data = _skip_space(source, target_end)
+        end = source.find("?>", data)
+        if end == -1:
+            raise _error(source, "unterminated processing instruction", data)
+        target = source[pos + 2 : target_end]
+        return PI, target, source[data:end].rstrip(), end + 2
+    if mark != "!":
+        _read_name(source, pos + 1)  # raises
+    if source.startswith("<!--", pos):
+        end = source.find("-->", pos + 4)
+        if end == -1:
+            raise _error(source, "unterminated comment", pos + 4)
+        body = source[pos + 4 : end]
+        if "--" in body:
+            raise _error(source, "'--' is not allowed inside comments", pos)
+        return COMMENT, body, None, end + 3
+    if source.startswith("<![CDATA[", pos):
+        end = source.find("]]>", pos + 9)
+        if end == -1:
+            raise _error(source, "unterminated CDATA section", pos + 9)
+        return CDATA, source[pos + 9 : end], None, end + 3
+    if source.startswith("<!DOCTYPE", pos):
+        return _doctype(source, pos)
+    raise _error(source, "unrecognised markup declaration", pos)
+
+
 class Lexer:
-    """Single-pass XML tokenizer over an in-memory string."""
+    """:class:`Token` objects over :func:`scan` of an in-memory string."""
 
     def __init__(self, source: str) -> None:
         self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    # -- low-level cursor ---------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._src[index] if index < len(self._src) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        chunk = self._src[self._pos : self._pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += count
-        return chunk
-
-    def _error(self, message: str) -> XmlSyntaxError:
-        return XmlSyntaxError(message, self._line, self._col)
-
-    def _expect(self, literal: str) -> None:
-        if not self._src.startswith(literal, self._pos):
-            raise self._error(f"expected {literal!r}")
-        self._advance(len(literal))
-
-    def _skip_whitespace(self) -> None:
-        while self._peek() in " \t\r\n" and self._peek():
-            self._advance()
-
-    def _read_until(self, terminator: str, context: str) -> str:
-        end = self._src.find(terminator, self._pos)
-        if end == -1:
-            raise self._error(f"unterminated {context}")
-        text = self._src[self._pos : end]
-        self._advance(len(text) + len(terminator))
-        return text
-
-    def _read_name(self) -> str:
-        start = self._pos
-        ch = self._peek()
-        if not (ch in NAME_START or ch.isalpha()):
-            raise self._error(f"expected a name, found {ch!r}")
-        while True:
-            ch = self._peek()
-            if ch and (ch in _NAME_CHARS or ch.isalnum()):
-                self._advance()
-            else:
-                break
-        return self._src[start : self._pos]
-
-    # -- token production ---------------------------------------------------
+        self._stream = scan(source)
+        self._end = (EOF, len(source), "", None, False)
+        # Line, offset where it starts, offset up to which newlines are counted.
+        self._line, self._line_start, self._counted = 1, 0, 0
 
     def tokens(self) -> Iterator[Token]:
         """Yield all tokens, ending with a single EOF token."""
-        while True:
-            token = self.next_token()
+        while (token := self.next_token()).type is not EOF:
             yield token
-            if token.type is TokenType.EOF:
-                return
+        yield token
 
     def next_token(self) -> Token:
         """Lex and return the next token."""
-        if self._pos >= len(self._src):
-            return Token(TokenType.EOF, "", self._line, self._col)
-        line, col = self._line, self._col
-        if self._peek() != "<":
-            return self._lex_text(line, col)
-        if self._peek(1) == "/":
-            return self._lex_end_tag(line, col)
-        if self._peek(1) == "?":
-            return self._lex_pi(line, col)
-        if self._peek(1) == "!":
-            if self._src.startswith("<!--", self._pos):
-                return self._lex_comment(line, col)
-            if self._src.startswith("<![CDATA[", self._pos):
-                return self._lex_cdata(line, col)
-            if self._src.startswith("<!DOCTYPE", self._pos):
-                return self._lex_doctype(line, col)
-            raise self._error("unrecognised markup declaration")
-        return self._lex_start_tag(line, col)
-
-    def _lex_text(self, line: int, col: int) -> Token:
-        start = self._pos
-        next_lt = self._src.find("<", self._pos)
-        end = next_lt if next_lt != -1 else len(self._src)
-        raw = self._src[start:end]
-        if "]]>" in raw:
-            raise self._error("']]>' is not allowed in character data")
-        self._advance(end - start)
-        return Token(TokenType.TEXT, unescape(raw, line, col), line, col)
-
-    def _lex_comment(self, line: int, col: int) -> Token:
-        self._advance(4)  # <!--
-        body = self._read_until("-->", "comment")
-        if "--" in body:
-            raise XmlSyntaxError("'--' is not allowed inside comments", line, col)
-        return Token(TokenType.COMMENT, body, line, col)
-
-    def _lex_cdata(self, line: int, col: int) -> Token:
-        self._advance(9)  # <![CDATA[
-        body = self._read_until("]]>", "CDATA section")
-        return Token(TokenType.CDATA, body, line, col)
-
-    def _lex_pi(self, line: int, col: int) -> Token:
-        self._advance(2)  # <?
-        target = self._read_name()
-        self._skip_whitespace()
-        data = self._read_until("?>", "processing instruction")
-        return Token(TokenType.PI, target, line, col, data=data.rstrip())
-
-    def _lex_doctype(self, line: int, col: int) -> Token:
-        self._advance(len("<!DOCTYPE"))
-        self._skip_whitespace()
-        name = self._read_name()
-        internal = ""
-        # Scan to the closing '>', honouring an optional [internal subset].
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise self._error("unterminated DOCTYPE declaration")
-            if ch == "[":
-                self._advance()
-                internal = self._read_until("]", "DOCTYPE internal subset")
-            elif ch == ">":
-                self._advance()
-                break
-            else:
-                self._advance()
-        return Token(TokenType.DOCTYPE, name, line, col, data=internal)
-
-    def _lex_end_tag(self, line: int, col: int) -> Token:
-        self._advance(2)  # </
-        name = self._read_name()
-        self._skip_whitespace()
-        self._expect(">")
-        return Token(TokenType.END_TAG, name, line, col)
-
-    def _lex_start_tag(self, line: int, col: int) -> Token:
-        self._advance(1)  # <
-        name = self._read_name()
-        attributes: dict[str, str] = {}
-        while True:
-            self._skip_whitespace()
-            ch = self._peek()
-            if not ch:
-                raise self._error(f"unterminated start tag <{name}")
-            if ch == ">":
-                self._advance()
-                return Token(TokenType.START_TAG, name, line, col, attributes=attributes)
-            if ch == "/":
-                self._advance()
-                self._expect(">")
-                return Token(
-                    TokenType.START_TAG, name, line, col,
-                    attributes=attributes, self_closing=True,
-                )
-            attr_line, attr_col = self._line, self._col
-            attr_name = self._read_name()
-            self._skip_whitespace()
-            self._expect("=")
-            self._skip_whitespace()
-            quote = self._peek()
-            if quote not in ("'", '"'):
-                raise self._error("attribute values must be quoted")
-            self._advance()
-            raw = self._read_until(quote, f"attribute {attr_name}")
-            if "<" in raw:
-                raise XmlSyntaxError(
-                    "'<' is not allowed in attribute values", attr_line, attr_col
-                )
-            if attr_name in attributes:
-                raise XmlSyntaxError(
-                    f"duplicate attribute {attr_name!r}", attr_line, attr_col
-                )
-            # XML 1.0 attribute-value normalisation: literal whitespace
-            # characters become spaces (character references keep theirs).
-            normalised = raw.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-            attributes[attr_name] = unescape(normalised, attr_line, attr_col)
+        kind, offset, value, extra, self_closing = next(self._stream, self._end)
+        newlines = self._src.count("\n", self._counted, offset)
+        if newlines:
+            self._line += newlines
+            self._line_start = self._src.rfind("\n", self._counted, offset) + 1
+        self._counted = offset
+        column = offset - self._line_start + 1
+        if kind is START_TAG:
+            return Token(kind, value, self._line, column, extra, self_closing)
+        return Token(kind, value, self._line, column, data=extra or "")

@@ -1,17 +1,15 @@
-"""Well-formedness parser: token stream -> :class:`~repro.ssd.model.Document`.
+"""Well-formedness parser: :func:`~repro.ssd.lexer.scan` -> :class:`~repro.ssd.model.Document`.
 
-The parser enforces the structural rules the lexer cannot: properly nested
-and matching tags, exactly one root element, no character data outside the
-root, and the XML declaration (treated as a PI with target ``xml``) only at
-the very beginning.
+The parser builds nodes straight from the scanner's stream and enforces the
+structural rules the scanner cannot: properly nested and matching tags,
+exactly one root element, no character data outside the root, and the XML
+declaration (treated as a PI with target ``xml``) only at the very beginning.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import XmlSyntaxError
-from .lexer import Lexer, Token, TokenType
+from .lexer import CDATA, COMMENT, DOCTYPE, END_TAG, PI, START_TAG, TEXT, position, scan
 from .model import Comment, Document, Element, ProcessingInstruction, Text
 
 __all__ = ["parse_document", "parse_fragment"]
@@ -25,68 +23,7 @@ def parse_document(source: str) -> Document:
     dropped; all whitespace inside the root element is preserved.
     """
     document = Document()
-    stack: list[Element] = []
-    seen_root = False
-    seen_any = False
-
-    for token in Lexer(source).tokens():
-        if token.type is TokenType.EOF:
-            break
-        if token.type is TokenType.PI and token.value == "xml":
-            if seen_any:
-                raise XmlSyntaxError(
-                    "XML declaration only allowed at document start",
-                    token.line, token.column,
-                )
-            seen_any = True
-            continue
-        seen_any = True
-        if stack:
-            _feed_content(stack, token)
-            continue
-        # -- at document level ------------------------------------------------
-        if token.type is TokenType.TEXT:
-            if token.value.strip():
-                raise XmlSyntaxError(
-                    "character data outside the root element",
-                    token.line, token.column,
-                )
-        elif token.type is TokenType.COMMENT:
-            document.append(Comment(token.value))
-        elif token.type is TokenType.PI:
-            document.append(ProcessingInstruction(token.value, token.data))
-        elif token.type is TokenType.DOCTYPE:
-            if seen_root:
-                raise XmlSyntaxError(
-                    "DOCTYPE must precede the root element", token.line, token.column
-                )
-            if document.doctype_name is not None:
-                raise XmlSyntaxError("duplicate DOCTYPE", token.line, token.column)
-            document.doctype_name = token.value
-            document.doctype_internal = token.data or None
-        elif token.type is TokenType.START_TAG:
-            if seen_root:
-                raise XmlSyntaxError(
-                    f"multiple root elements (second: <{token.value}>)",
-                    token.line, token.column,
-                )
-            seen_root = True
-            element = Element(token.value, token.attributes)
-            document.append(element)
-            if not token.self_closing:
-                stack.append(element)
-        elif token.type is TokenType.CDATA:
-            raise XmlSyntaxError(
-                "CDATA section outside the root element", token.line, token.column
-            )
-        elif token.type is TokenType.END_TAG:
-            raise XmlSyntaxError(
-                f"unexpected end tag </{token.value}>", token.line, token.column
-            )
-
-    if stack:
-        open_tag = stack[-1].tag
-        raise XmlSyntaxError(f"unclosed element <{open_tag}>")
+    _build(source, document, [])
     if document.root is None:
         raise XmlSyntaxError("document has no root element")
     return document
@@ -95,46 +32,91 @@ def parse_document(source: str) -> Document:
 def parse_fragment(source: str, wrapper_tag: str = "fragment") -> Element:
     """Parse an XML fragment (zero or more sibling nodes).
 
-    The fragment is parsed inside a synthetic wrapper element whose tag is
-    ``wrapper_tag``; the wrapper is returned, with the fragment's nodes as its
-    children.  Useful in tests and for construction templates.
+    The fragment's nodes become the children of a synthetic wrapper element
+    whose tag is ``wrapper_tag``, the root of a new document; the wrapper is
+    returned.  Error positions are those in ``source``.  Useful in tests and
+    for construction templates.
     """
-    wrapped = f"<{wrapper_tag}>{source}</{wrapper_tag}>"
-    return parse_document(wrapped).root  # type: ignore[return-value]
+    wrapper = Element(wrapper_tag)
+    _build(source, Document(wrapper), [wrapper])
+    return wrapper
 
 
-def _feed_content(stack: list[Element], token: Token) -> None:
-    """Apply one token while inside the root element."""
-    current = stack[-1]
-    if token.type is TokenType.TEXT:
-        current.append(Text(token.value))
-    elif token.type is TokenType.CDATA:
-        current.append(Text(token.value, is_cdata=True))
-    elif token.type is TokenType.COMMENT:
-        current.append(Comment(token.value))
-    elif token.type is TokenType.PI:
-        current.append(ProcessingInstruction(token.value, token.data))
-    elif token.type is TokenType.START_TAG:
-        element = Element(token.value, token.attributes)
-        current.append(element)
-        if not token.self_closing:
-            stack.append(element)
-    elif token.type is TokenType.END_TAG:
-        if token.value != current.tag:
-            raise XmlSyntaxError(
-                f"mismatched end tag </{token.value}>, expected </{current.tag}>",
-                token.line, token.column,
-            )
-        stack.pop()
-    elif token.type is TokenType.DOCTYPE:
-        raise XmlSyntaxError(
-            "DOCTYPE inside the root element", token.line, token.column
-        )
+def _build(source: str, document: Document, stack: list[Element]) -> None:
+    """Append the nodes of ``source`` to ``stack[-1]``, or to ``document``.
 
+    The elements ``stack`` starts with (a fragment's wrapper) stay open.
+    """
+    new = object.__new__
+    floor = len(stack)
+    seen_root = seen_any = floor > 0
 
-def try_parse(source: str) -> Optional[Document]:
-    """Parse, returning ``None`` instead of raising on syntax errors."""
-    try:
-        return parse_document(source)
-    except XmlSyntaxError:
-        return None
+    def fail(message: str, offset: int) -> XmlSyntaxError:
+        return XmlSyntaxError(message, *position(source, offset))
+
+    for kind, offset, value, extra, self_closing in scan(source):
+        if kind is PI and value == "xml":
+            if seen_any:
+                raise fail("XML declaration only allowed at document start", offset)
+            seen_any = True
+            continue
+        if stack:
+            parent = stack[-1]
+            # Nodes are made without their constructors, which would only
+            # re-check the tag and copy the scanner's fresh attribute dict.
+            if kind is START_TAG:
+                node = new(Element)
+                node.tag, node.attributes, node.children = value, extra, []
+                if not self_closing:
+                    stack.append(node)
+            elif kind is END_TAG:
+                if len(stack) == floor:
+                    raise fail(f"unexpected end tag </{value}>", offset)
+                if value != parent.tag:
+                    raise fail(
+                        f"mismatched end tag </{value}>, expected </{parent.tag}>", offset
+                    )
+                stack.pop()
+                continue
+            elif kind is TEXT or kind is CDATA:
+                node = new(Text)
+                node.data, node.is_cdata = value, kind is CDATA
+            elif kind is COMMENT:
+                node = Comment(value)
+            elif kind is DOCTYPE:
+                raise fail("DOCTYPE inside the root element", offset)
+            else:
+                node = ProcessingInstruction(value, extra)
+            node.parent = parent
+            parent.children.append(node)
+            continue
+        # -- at document level ------------------------------------------------
+        seen_any = True
+        if kind is TEXT:
+            if value.strip():
+                raise fail("character data outside the root element", offset)
+        elif kind is COMMENT:
+            document.append(Comment(value))
+        elif kind is PI:
+            document.append(ProcessingInstruction(value, extra))
+        elif kind is DOCTYPE:
+            if seen_root:
+                raise fail("DOCTYPE must precede the root element", offset)
+            if document.doctype_name is not None:
+                raise fail("duplicate DOCTYPE", offset)
+            document.doctype_name = value
+            document.doctype_internal = extra or None
+        elif kind is START_TAG:
+            if seen_root:
+                raise fail(f"multiple root elements (second: <{value}>)", offset)
+            seen_root = True
+            root = Element(value, extra)
+            document.append(root)
+            if not self_closing:
+                stack.append(root)
+        elif kind is CDATA:
+            raise fail("CDATA section outside the root element", offset)
+        else:
+            raise fail(f"unexpected end tag </{value}>", offset)
+    if len(stack) > floor:
+        raise XmlSyntaxError(f"unclosed element <{stack[-1].tag}>")

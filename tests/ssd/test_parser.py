@@ -180,3 +180,98 @@ class TestParser:
 
     def test_empty_fragment(self):
         assert parse_fragment("").children == []
+
+
+class TestDoctypeInternalSubset:
+    def test_bracket_inside_quoted_literal(self):
+        doc = parse_document('<!DOCTYPE r [<!ATTLIST r a CDATA "]">]><r/>')
+        assert doc.root.tag == "r"
+        assert doc.doctype_internal == '<!ATTLIST r a CDATA "]">'
+
+    def test_bracket_inside_apostrophe_literal_and_comment(self):
+        doc = parse_document("<!DOCTYPE r [<!-- ] --><!ATTLIST r a CDATA ']'>]><r/>")
+        assert doc.doctype_internal == "<!-- ] --><!ATTLIST r a CDATA ']'>"
+
+    def test_unclosed_comments_do_not_rescan_the_subset(self):
+        # each unclosed '<!--' must not search the rest of the input again
+        source = "<!DOCTYPE r [" + "<!--" * 50_000 + "]><r/>"
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_document(source)
+        assert "unterminated DOCTYPE internal subset" in str(exc.value)
+
+    def test_unterminated_literal_leaves_the_subset_open(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_document('<!DOCTYPE r [<!ATTLIST r a CDATA "x>]><r/>')
+        assert str(exc.value) == (
+            "unterminated DOCTYPE internal subset (line 1, column 14)"
+        )
+
+
+class TestEntityErrorPositions:
+    def test_text_entity_error_points_at_the_entity(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_document("<r>\n\n   &zz;</r>")
+        assert str(exc.value) == "unknown entity &zz; (line 3, column 4)"
+
+    def test_attribute_entity_error_points_at_the_entity(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_document('<r\n a="x\n  &#xG;"/>')
+        assert (exc.value.line, exc.value.column) == (3, 3)
+
+    def test_unescape_without_source_has_no_position(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            unescape("a &zz;")
+        assert str(exc.value) == "unknown entity &zz;"
+
+    def test_oversized_character_reference_is_a_syntax_error(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_document("<r>&#99999999999999999999999;</r>")
+        assert "bad character reference" in str(exc.value)
+
+
+class TestFragmentErrors:
+    def test_unclosed_element_is_named(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_fragment("<x>")
+        assert str(exc.value) == "unclosed element <x>"
+
+    def test_stray_end_tag_does_not_name_the_wrapper(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_fragment("</y>")
+        assert str(exc.value) == "unexpected end tag </y> (line 1, column 1)"
+
+    def test_cannot_close_the_wrapper(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_fragment("a</fragment>b")
+        assert (exc.value.line, exc.value.column) == (1, 2)
+
+    def test_columns_are_relative_to_the_fragment(self):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_fragment("<x a=1/>")
+        assert (exc.value.line, exc.value.column) == (1, 6)
+
+    def test_wrapper_is_the_root_of_a_document(self):
+        wrapper = parse_fragment("<x/>", wrapper_tag="w")
+        assert wrapper.tag == "w"
+        assert wrapper.parent is not None and wrapper.parent.root is wrapper
+
+
+class TestLexerPositions:
+    def test_crlf_tabs_and_carriage_returns(self):
+        source = '<a\r\n  b="1">\r\n\t<c/>\r<!--x-->\n</a>'
+        positions = [(t.type, t.line, t.column) for t in Lexer(source).tokens()]
+        assert positions == [
+            (TokenType.START_TAG, 1, 1),
+            (TokenType.TEXT, 2, 9),
+            (TokenType.START_TAG, 3, 2),
+            (TokenType.TEXT, 3, 6),
+            (TokenType.COMMENT, 3, 7),
+            (TokenType.TEXT, 3, 15),
+            (TokenType.END_TAG, 4, 1),
+            (TokenType.EOF, 4, 5),
+        ]
+
+    def test_eof_repeats(self):
+        lexer = Lexer("<a/>")
+        kinds = [lexer.next_token().type for _ in range(3)]
+        assert kinds == [TokenType.START_TAG, TokenType.EOF, TokenType.EOF]
