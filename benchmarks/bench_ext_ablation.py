@@ -25,10 +25,10 @@ RULE = parse_xg(
 GRAPH = RULE.queries[0]
 
 CONFIGS = {
-    "indexed+planned": MatchOptions(use_planner=True, use_index=True),
-    "indexed": MatchOptions(use_planner=False, use_index=True),
-    "planned": MatchOptions(use_planner=True, use_index=False),
-    "baseline": MatchOptions(use_planner=False, use_index=False),
+    "indexed+planned": MatchOptions(use_planner=True),
+    "indexed": MatchOptions(use_planner=False),
+    "planned": MatchOptions(use_planner=True, engine="naive"),
+    "baseline": MatchOptions(use_planner=False, engine="naive"),
 }
 
 

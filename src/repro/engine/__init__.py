@@ -20,7 +20,7 @@ from .conditions import (
 )
 from .cache import DocumentIndexCache, get_index, invalidate, shared_cache
 from .index import DocumentIndex
-from .joins import EdgeRelation, equijoin_key
+from .joins import ColumnRelation, equijoin_key
 from .metrics import MetricsRegistry, global_registry
 from .narrowing import intersect_pools
 from .options import MatchOptions
@@ -36,7 +36,7 @@ __all__ = [
     "Condition", "Operand", "DocumentAccessor", "condition_variables",
     "DocumentIndex", "DocumentIndexCache", "get_index", "invalidate",
     "shared_cache", "intersect_pools", "plan_order", "EvalStats",
-    "MatchOptions", "EdgeRelation", "equijoin_key",
+    "MatchOptions", "ColumnRelation", "equijoin_key",
     "connected_components", "evaluate_forest", "is_forest",
     "Span", "Tracer", "MetricsRegistry", "global_registry",
 ]

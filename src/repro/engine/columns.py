@@ -1,12 +1,10 @@
 """Columnar kernels over sorted ``pre``-id arrays.
 
-The set-at-a-time pipeline originally materialised candidate pools as
-lists of node objects and edge relations as lists of ``(Element,
-Element)`` tuples; every semi-join then re-hashed object identities.  The
-interval index already assigns every element a dense integer ``pre``
-number, so pools and relations can instead be **columns**: flat sorted
-``array('i')`` vectors of pre ids, with the index's ``pre -> element``
-side table deferring object materialisation to hash-join assembly.
+The set-at-a-time pipeline keeps candidate pools and edge relations as
+**columns**: flat sorted ``array('i')`` vectors of dense int ids.  For
+documents the ids are the interval index's ``pre`` numbers, and the
+index's ``pre -> element`` side table defers object materialisation to
+hash-join assembly; every semi-join before that is integer work.
 
 This module holds the int-only kernels that representation enables:
 

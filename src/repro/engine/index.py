@@ -305,7 +305,7 @@ class DocumentIndex:
     def element_table(self) -> list[Element]:
         """The dense ``pre rank -> element`` side table (read-only).
 
-        This is what lets the columnar pipeline defer node materialisation
+        This is what lets the set-at-a-time pipeline defer node materialisation
         to hash-join assembly: every intermediate stays an int column.
         """
         return self._dense_view().elements

@@ -26,10 +26,8 @@ XML-GL document matcher and the WG-Log graph matcher both honour:
   - ``"naive"``: backtracking with indexes disabled — full scans and
     per-candidate structural checks (the ablation baseline).
 
-* ``use_planner`` / ``use_index`` — the EXT-A1 ablation switches carried
-  over from the node-at-a-time engine.  ``use_index=False`` implies the
-  naive engine (the pipeline builds its pools and relations from the
-  index, so it degrades to backtracking without one).
+* ``use_planner`` — the EXT-A1 planner ablation: ``False`` keeps the
+  drawing order instead of the cost-chosen join order.
 
 * ``rewrite`` — run the static query-rewrite layer
   (:mod:`repro.analysis.rewrite`) before planning: canonicalization,
@@ -38,14 +36,6 @@ XML-GL document matcher and the WG-Log graph matcher both honour:
   that evaluates the drawn query verbatim — the ablation switch for the
   rewrite layer, and the way out should a rewrite rule ever prove
   unsound in the field.
-
-* ``columnar`` — let the set-at-a-time path run on the columnar kernels
-  (:mod:`repro.engine.columns`): candidate pools and edge relations as
-  flat sorted ``pre``-id columns, node objects materialised only at
-  hash-join assembly.  On by default; ``False`` pins the historical
-  tuple-of-nodes pipeline (the ablation/differential switch, mirroring
-  ``rewrite``).  Only the interval-indexed XML-GL pipeline has a columnar
-  twin — backtracking, naive and WG-Log evaluation ignore the flag.
 
 * ``trace`` — record a span tree (:mod:`repro.engine.trace`) of the
   evaluation.  The matchers attach a fresh
@@ -79,10 +69,8 @@ class MatchOptions:
     """Evaluation switches (engine choice + ablation knobs EXT-A1)."""
 
     use_planner: bool = True
-    use_index: bool = True
     engine: str = "adaptive"
     rewrite: bool = True
-    columnar: bool = True
     trace: bool = False
     budget: Optional["QueryBudget"] = None
 
@@ -92,22 +80,6 @@ class MatchOptions:
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
 
-    def resolved_engine(self) -> str:
-        """The engine that will actually run.
-
-        ``"naive"`` forces scans regardless of ``use_index``; conversely,
-        ``use_index=False`` demotes the adaptive/pipeline engines to
-        backtracking (which then scans), preserving the historical meaning
-        of the ablation flag for callers that never mention engines — the
-        cost model and the set-at-a-time plans both feed on the index, so
-        neither exists without one.
-        """
-        if self.engine == "naive":
-            return "naive"
-        if self.engine in ("adaptive", "pipeline") and not self.use_index:
-            return "backtracking"
-        return self.engine
-
     def scans_only(self) -> bool:
-        """Whether evaluation must avoid the index (naive/ablation mode)."""
-        return self.engine == "naive" or not self.use_index
+        """Whether evaluation must avoid the index (the naive engine)."""
+        return self.engine == "naive"

@@ -5,10 +5,11 @@ paper's shared sub-nodes *are* relational joins — so the pipeline works on
 that shape directly and leaves language semantics to the matchers:
 
 * a *variable* per pattern node, with a **candidate pool** (unary relation)
-  supplied by the caller, typically from a
-  :class:`~repro.engine.index.DocumentIndex` lookup;
-* an :class:`~repro.engine.joins.EdgeRelation` per pattern edge holding the
-  candidate **pairs** that satisfy it.
+  supplied by the caller as a sorted column of dense int ids — ``pre``
+  numbers from a :class:`~repro.engine.index.DocumentIndex` lookup, or
+  node positions for a data graph;
+* a :class:`~repro.engine.joins.ColumnRelation` per pattern edge holding
+  the candidate **pairs** that satisfy it.
 
 :func:`evaluate_forest` then runs the classic acyclic-query plan: choose a
 join order from cardinality estimates (pool sizes, which for indexed pools
@@ -27,27 +28,18 @@ those, per fragment.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from .joins import (
-    ColumnRelation,
-    EdgeRelation,
-    join_forest,
-    join_forest_columns,
-    semijoin_reduce,
-    semijoin_reduce_columns,
-)
+from .joins import ColumnRelation, join_forest, semijoin_reduce
 from .planner import plan_order
 from .stats import EvalStats
 from .trace import span as trace_span
 
 __all__ = [
-    "connected_components",
-    "is_forest",
-    "evaluate_forest",
-    "evaluate_forest_columns",
-    "relation_for",
     "column_relation_for",
+    "connected_components",
+    "evaluate_forest",
+    "is_forest",
 ]
 
 Var = Hashable
@@ -96,96 +88,30 @@ def is_forest(variables: Iterable[Var], edges: Sequence[tuple[Var, Var]]) -> boo
 
 
 def evaluate_forest(
-    pools: dict[Var, list[Any]],
-    relations: Sequence[EdgeRelation],
+    pools: dict[Var, array],
+    relations: Sequence[ColumnRelation],
     stats: EvalStats,
     planner_enabled: bool = True,
-) -> Iterator[dict[Var, Any]]:
+) -> tuple[list[Var], list[list[int]]]:
     """All assignments of a forest-shaped join query, set-at-a-time.
 
     Args:
-        pools: candidate pool per variable (consumed; reduced in place).
-        relations: one :class:`EdgeRelation` per pattern edge; the
+        pools: sorted int-id column per variable (consumed; reduced in
+            place).
+        relations: one :class:`ColumnRelation` per pattern edge; the
             undirected graph they induce over ``pools``' keys must be a
             forest (:func:`is_forest`).
         stats: semi-join / hash-join counters accumulate here.
         planner_enabled: when False, keep the pools' insertion order as the
             join order (planner ablation).
 
-    Yields:
-        Complete ``{variable: candidate}`` assignments.  Distinct trees of
-        the forest combine by cross product, as in the backtracking core.
-    """
-    if stats.budget is not None:
-        stats.budget.poll()
-    variables = list(pools)
-    adjacency: dict[Var, list[Var]] = {var: [] for var in variables}
-    for relation in relations:
-        adjacency[relation.left_var].append(relation.right_var)
-        adjacency[relation.right_var].append(relation.left_var)
-
-    with trace_span(stats.trace, "plan") as plan_span:
-        order = plan_order(
-            variables,
-            estimate=lambda var: len(pools[var]),
-            adjacency=adjacency,
-            enabled=planner_enabled,
-        )
-
-        # Root the forest along the planner order: the first placed endpoint
-        # of each relation becomes the parent of the other.
-        relations_by_var: dict[Var, list[EdgeRelation]] = {
-            var: [] for var in variables
-        }
-        for relation in relations:
-            relations_by_var[relation.left_var].append(relation)
-            relations_by_var[relation.right_var].append(relation)
-        placed: set[Var] = set()
-        parent_of: dict[Var, tuple[Var, EdgeRelation]] = {}
-        for var in order:
-            for relation in relations_by_var[var]:
-                other = relation.other(var)
-                if other in placed:
-                    if var in parent_of:
-                        raise ValueError(
-                            "cyclic join structure: "
-                            f"variable {var!r} reaches two placed parents"
-                        )
-                    parent_of[var] = (other, relation)
-            placed.add(var)
-        if plan_span is not None:
-            plan_span["order"] = [str(var) for var in order]
-            plan_span["pool_sizes"] = {
-                str(var): len(pools[var]) for var in order
-            }
-            plan_span["forest"] = [
-                {"var": str(var), "parent": str(parent)}
-                for var, (parent, _) in parent_of.items()
-            ]
-            plan_span["planner"] = "cost" if planner_enabled else "input-order"
-
-    if not semijoin_reduce(pools, relations, order, parent_of, stats):
-        return
-    yield from join_forest(pools, order, parent_of, stats)
-
-
-def evaluate_forest_columns(
-    pools: dict[Var, array],
-    relations: Sequence[ColumnRelation],
-    stats: EvalStats,
-    planner_enabled: bool = True,
-) -> tuple[list[Var], list[list[int]]]:
-    """All assignments of a forest-shaped join query over int columns.
-
-    The columnar twin of :func:`evaluate_forest`: pools are sorted
-    ``pre``-id columns and relations :class:`ColumnRelation`\\ s, so the
-    whole plan→reduce→assemble cascade never touches a node object.  Same
-    planner, same rooting, same trace spans.
-
     Returns:
         ``(order, rows)`` — the join order and the assembled rows, each a
-        flat int list aligned with ``order``.  Callers materialise nodes
-        against the index's ``pre -> element`` side table.
+        flat int list aligned with ``order``.  Distinct trees of the
+        forest combine by cross product, as in the backtracking core.  The
+        whole plan→reduce→assemble cascade never touches a node object:
+        callers map ids back to nodes (the index's ``pre -> element`` side
+        table for documents, the id list for graphs).
     """
     if stats.budget is not None:
         stats.budget.poll()
@@ -202,6 +128,8 @@ def evaluate_forest_columns(
             adjacency=adjacency,
             enabled=planner_enabled,
         )
+        # Root the forest along the planner order: the first placed endpoint
+        # of each relation becomes the parent of the other.
         relations_by_var: dict[Var, list[ColumnRelation]] = {
             var: [] for var in variables
         }
@@ -231,11 +159,10 @@ def evaluate_forest_columns(
                 for var, (parent, _) in parent_of.items()
             ]
             plan_span["planner"] = "cost" if planner_enabled else "input-order"
-            plan_span["columnar"] = True
 
-    if not semijoin_reduce_columns(pools, relations, order, parent_of, stats):
+    if not semijoin_reduce(pools, relations, order, parent_of, stats):
         return list(order), []
-    return list(order), join_forest_columns(pools, order, parent_of, stats)
+    return list(order), join_forest(pools, order, parent_of, stats)
 
 
 def column_relation_for(
@@ -244,36 +171,17 @@ def column_relation_for(
     pairs: tuple[array, array],
     stats: EvalStats,
 ) -> ColumnRelation:
-    """Materialise a :class:`ColumnRelation`, tallying like :func:`relation_for`.
+    """Materialise a :class:`ColumnRelation`, tallying its size.
 
-    ``pairs`` is the ``(left column, right column)`` output of a
-    :mod:`repro.engine.columns` kernel.  Budget row-bounding happens at the
-    kernel call site (counts are known before materialisation), so this
-    only mirrors the ``edge_checks`` / ``relation_pairs`` accounting.
+    ``pairs`` is a ``(left column, right column)`` pair, typically the
+    output of a :mod:`repro.engine.columns` kernel.  One wholesale
+    ``edge_checks`` bump per relation mirrors the interval convention:
+    pairs drawn from index-backed pools satisfy their edge *by
+    construction*, so they are counted as ``relation_pairs``, not as
+    per-candidate trials.  Budget row-bounding happens where the pairs are
+    produced, so this only does the accounting.
     """
     relation = ColumnRelation(left_var, right_var, pairs[0], pairs[1])
-    stats.edge_checks += 1
-    stats.relation_pairs += len(relation)
-    return relation
-
-
-def relation_for(
-    left_var: Var,
-    right_var: Var,
-    pairs: Iterable[tuple[Any, Any]],
-    stats: EvalStats,
-    key=id,
-) -> EdgeRelation:
-    """Materialise an :class:`EdgeRelation`, tallying its size.
-
-    One wholesale ``edge_checks`` bump per relation mirrors the interval
-    convention: pairs drawn from index-backed pools satisfy their edge *by
-    construction*, so they are counted as ``relation_pairs``, not as
-    per-candidate trials.
-    """
-    if stats.budget is not None:
-        pairs = stats.budget.bounded_rows(pairs)
-    relation = EdgeRelation(left_var, right_var, pairs, key=key)
     stats.edge_checks += 1
     stats.relation_pairs += len(relation)
     return relation

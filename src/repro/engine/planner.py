@@ -102,22 +102,22 @@ class FragmentCosts:
     rows: float
 
 
-#: Per-item cost discount of columnar pipeline materialisation relative
-#: to the cost model's common currency (one per-candidate step of the
-#: backtracking walk, or one tuple-pipeline pool/relation item — both
-#: Python-level loop iterations).  Columnar pools and relations are flat
-#: int columns built by bisect / vectorised kernels, so their per-item
-#: cost is C-level: calibrated against bench_smoke fragment timings,
-#: where a kernel item runs ~20x cheaper than a walk step.  Assembled
-#: rows stay undiscounted — they materialise node objects either way.
-_COLUMNAR_DISCOUNT = 0.05
+#: Per-item cost discount of kernel-built pipeline materialisation
+#: relative to the cost model's common currency (one per-candidate step of
+#: the backtracking walk, or one pool/relation item produced by a Python
+#: loop).  XML-GL pools and relations come out of the bisect / vectorised
+#: kernels of :mod:`repro.engine.columns`, so their per-item cost is
+#: C-level: calibrated against bench_smoke fragment timings, where a
+#: kernel item runs ~20x cheaper than a walk step.  Assembled rows stay
+#: undiscounted — they materialise node objects either way.
+_KERNEL_DISCOUNT = 0.05
 
 
 def choose_fragment_engine(
     pool_sizes: Mapping[NodeId, float],
     edge_pairs: Sequence[tuple[NodeId, NodeId, float]],
     enabled: bool = True,
-    columnar: bool = False,
+    kernel_built: bool = False,
 ) -> FragmentCosts:
     """Cost-compare one acyclic fragment's two evaluation strategies.
 
@@ -128,9 +128,10 @@ def choose_fragment_engine(
             :meth:`repro.engine.estimator.CardinalityEstimator.scaled_edge_pairs`.
         enabled: forwarded to :func:`plan_order` (planner ablation keeps
             the drawing order).
-        columnar: the pipeline under comparison runs on the columnar
-            kernels — pool and relation materialisation is discounted by
-            ``_COLUMNAR_DISCOUNT`` (assembled rows cost the same: they
+        kernel_built: the pipeline under comparison builds its pools and
+            relations with the :mod:`repro.engine.columns` kernels rather
+            than Python loops — their materialisation is discounted by
+            ``_KERNEL_DISCOUNT`` (assembled rows cost the same: they
             materialise either way).
 
     The backtracking estimate walks the same selective-first order the
@@ -179,8 +180,8 @@ def choose_fragment_engine(
     materialise = float(sum(pool_sizes.values())) + float(
         sum(pairs for _, _, pairs in edge_pairs)
     )
-    if columnar:
-        materialise *= _COLUMNAR_DISCOUNT
+    if kernel_built:
+        materialise *= _KERNEL_DISCOUNT
     pipeline = materialise + rows
     engine = "backtracking" if backtracking <= pipeline else "pipeline"
     return FragmentCosts(

@@ -1,6 +1,6 @@
 """Process-pool sharded corpus execution.
 
-The set-at-a-time pipeline (columnar since :mod:`repro.engine.columns`)
+The set-at-a-time pipeline (on the :mod:`repro.engine.columns` kernels)
 saturates one core; corpus-scale workloads — the same query over hundreds
 of documents, or a batch of queries over one collection — need the other
 cores, and Python threads cannot provide them for CPU-bound matching.

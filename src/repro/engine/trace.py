@@ -41,7 +41,8 @@ span / event              recorded by
 ``fragment.pools``        XML-GL pool construction (attr ``sizes``)
 ``fragment.relations``    edge-relation build (attr ``pairs``)
 ``plan``                  :func:`repro.engine.pipeline.evaluate_forest`
-                          (attrs ``order``, ``forest``)
+                          (attrs ``order``, ``pool_sizes``, ``forest``,
+                          ``planner``)
 ``reduce``                semi-join reduction; ``semijoin`` events carry
                           ``var``, ``before``, ``after``, ``direction``
 ``assemble``              hash-join assembly (attr ``rows``)

@@ -29,7 +29,7 @@ inspected without any data at hand; the report says so.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Union
 
 from .engine.options import MatchOptions
@@ -384,15 +384,7 @@ def explain(
 
         sources = bibliography(DEFAULT_WORKLOAD_ENTRIES, seed=0)
     base = options or MatchOptions()
-    traced = MatchOptions(
-        use_planner=base.use_planner,
-        use_index=base.use_index,
-        engine=base.engine,
-        rewrite=base.rewrite,
-        columnar=base.columnar,
-        trace=True,
-        budget=base.budget,
-    )
+    traced = replace(base, trace=True)
     stats = EvalStats()
     stats.trace = Tracer()
     rule, source_text, plan = lookup_or_compile(
@@ -409,7 +401,7 @@ def explain(
         rewrites = report.describe() if report is not None else "none"
     return _digest(
         query_text,
-        traced.resolved_engine(),
+        traced.engine,
         stats,
         stats.trace,
         synthetic,

@@ -18,13 +18,19 @@ in :mod:`repro.xmlgl.matcher` that shares the same ordering ideas.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Hashable, Iterator, Optional
 
 from ..engine.narrowing import intersect_pools
-from ..engine.pipeline import connected_components, evaluate_forest, is_forest, relation_for
+from ..engine.pipeline import (
+    column_relation_for,
+    connected_components,
+    evaluate_forest,
+    is_forest,
+)
 from ..engine.planner import choose_fragment_engine
 from ..engine.stats import EvalStats
 from ..engine.trace import span as trace_span
@@ -400,10 +406,6 @@ def _setwise_fallback_reason(
     return None
 
 
-def _setwise_key(candidate: NodeId) -> NodeId:
-    return candidate  # graph node ids are their own identity
-
-
 def _setwise_component(
     nodes: list[NodeId],
     edges: list[Edge],
@@ -411,13 +413,24 @@ def _setwise_component(
     compat: NodeCompat,
     stats: EvalStats,
 ) -> list[dict[NodeId, NodeId]]:
-    """Pools + edge relations + forest evaluation for one component."""
-    pools: dict[NodeId, list[NodeId]] = {}
-    pool_sets: dict[NodeId, set[NodeId]] = {}
+    """Pools + edge relations + forest evaluation for one component.
+
+    Data nodes are numbered densely in ``data.nodes()`` order, so every
+    pool is an ascending int column and every relation a
+    :class:`~repro.engine.joins.ColumnRelation`; assembled rows map back
+    through the id list.
+    """
+    ids = list(data.nodes())
+    number = {dnode: i for i, dnode in enumerate(ids)}
+    budget = stats.budget
+    pools: dict[NodeId, array] = {}
+    pool_sets: dict[NodeId, set[int]] = {}
     for pnode in nodes:
-        pool = [dnode for dnode in data.nodes() if compat(pnode, dnode)]
-        if stats.budget is not None:
-            stats.budget.charge(max(1, len(pool)))
+        pool = array(
+            "i", (i for i, dnode in enumerate(ids) if compat(pnode, dnode))
+        )
+        if budget is not None:
+            budget.charge(max(1, len(pool)))
         if not pool:
             return []
         pools[pnode] = pool
@@ -426,29 +439,29 @@ def _setwise_component(
     for edge in edges:
         # enumerate from the smaller side's adjacency, deduplicating
         # parallel data edges (the relation is a set of pairs)
-        pairs: list[tuple[NodeId, NodeId]] = []
-        seen: set[tuple[NodeId, NodeId]] = set()
-        if len(pools[edge.source]) <= len(pools[edge.target]):
-            target_set = pool_sets[edge.target]
-            for source in pools[edge.source]:
-                for target in data.successors(source, edge.label):
-                    if target in target_set and (source, target) not in seen:
-                        seen.add((source, target))
-                        pairs.append((source, target))
-        else:
-            source_set = pool_sets[edge.source]
-            for target in pools[edge.target]:
-                for source in data.predecessors(target, edge.label):
-                    if source in source_set and (source, target) not in seen:
-                        seen.add((source, target))
-                        pairs.append((source, target))
-        relation = relation_for(
-            edge.source, edge.target, pairs, stats, key=_setwise_key
+        left, right = array("i"), array("i")
+        seen: set[tuple[int, int]] = set()
+        forward = len(pools[edge.source]) <= len(pools[edge.target])
+        step = data.successors if forward else data.predecessors
+        other_set = pool_sets[edge.target if forward else edge.source]
+        for i in pools[edge.source if forward else edge.target]:
+            for dnode in step(ids[i], edge.label):
+                j = number[dnode]
+                pair = (i, j) if forward else (j, i)
+                if j in other_set and pair not in seen:
+                    if budget is not None:
+                        budget.add_rows(1)
+                    seen.add(pair)
+                    left.append(pair[0])
+                    right.append(pair[1])
+        relation = column_relation_for(
+            edge.source, edge.target, (left, right), stats
         )
-        if not relation.pairs:
+        if not len(relation):
             return []
         relations.append(relation)
-    return list(evaluate_forest(pools, relations, stats))
+    order, rows = evaluate_forest(pools, relations, stats)
+    return [{pnode: ids[i] for pnode, i in zip(order, row)} for row in rows]
 
 
 def count_homomorphisms(

@@ -51,7 +51,7 @@ class ExecOptions:
     """The execution contract of a :class:`QuerySession` call.
 
     One immutable bundle of every run-time switch — engine selection,
-    rewrite/columnar ablations, tracing and budget — passed as the single
+    rewrite and planner ablations, tracing and budget — passed as the single
     keyword-only ``options=`` of :meth:`QuerySession.run`,
     :meth:`~QuerySession.execute` and :meth:`~QuerySession.run_batch` (and
     as the session default).  A per-call ``ExecOptions`` replaces the
@@ -68,9 +68,7 @@ class ExecOptions:
 
     engine: str = "adaptive"
     rewrite: bool = True
-    columnar: bool = True
     use_planner: bool = True
-    use_index: bool = True
     trace: bool = False
     budget: Optional[QueryBudget] = None
 
@@ -84,10 +82,8 @@ class ExecOptions:
         """The equivalent engine-level :class:`MatchOptions`."""
         return MatchOptions(
             use_planner=self.use_planner,
-            use_index=self.use_index,
             engine=self.engine,
             rewrite=self.rewrite,
-            columnar=self.columnar,
             trace=self.trace,
             budget=self.budget,
         )
@@ -98,9 +94,7 @@ class ExecOptions:
         return cls(
             engine=options.engine,
             rewrite=options.rewrite,
-            columnar=options.columnar,
             use_planner=options.use_planner,
-            use_index=options.use_index,
             trace=options.trace,
             budget=options.budget,
         )
@@ -363,7 +357,7 @@ class QuerySession:
         cycles (browser semantics).  Returns the result document.
 
         The keyword-only ``options=`` takes one :class:`ExecOptions`
-        bundle — engine, rewrite/columnar switches, tracing, budget — that
+        bundle — engine, rewrite and planner switches, tracing, budget — that
         replaces the session defaults for this cycle (derive from
         :attr:`defaults` to override a single field).  The historical
         ``options=MatchOptions(...)`` and the ``trace=`` / ``budget=``

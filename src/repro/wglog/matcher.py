@@ -162,7 +162,7 @@ def embeddings(
 
     core_ids, fragments = _split_negation(rule)
     pattern, spec_edges = _red_pattern(rule, core_ids)
-    engine = options.resolved_engine()
+    engine = options.engine
     spec = MatchSpec(
         injective=injective,
         node_compat=_compat(rule, instance),
@@ -302,9 +302,11 @@ def _red_pattern(
 ) -> tuple[LabeledGraph, dict[str, set[Edge]]]:
     """The core red pattern as a LabeledGraph plus special edge sets."""
     pattern = LabeledGraph()
-    for node_id in core_ids:
-        node = rule.nodes[node_id]
-        pattern.add_node(node_id, node.label or "*")
+    # Declaration order, not set order: the pattern's node order feeds the
+    # planners' tie-breaks, so it must not vary with the hash seed.
+    for node_id, node in rule.nodes.items():
+        if node_id in core_ids:
+            pattern.add_node(node_id, node.label or "*")
     special: dict[str, set[Edge]] = {"path": set(), "negated": set()}
     for edge in rule.red_edges():
         if edge.source not in core_ids or edge.target not in core_ids:

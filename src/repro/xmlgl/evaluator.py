@@ -332,7 +332,7 @@ def rule_bindings(
             "match",
             graph=position,
             source=graph.source or "-",
-            engine=(options or MatchOptions()).resolved_engine(),
+            engine=(options or MatchOptions()).engine,
             language="xmlgl",
         ) as match_span:
             bindings = match(

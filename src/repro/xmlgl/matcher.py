@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..engine.bindings import Binding, BindingSet
 from ..engine.columns import containment_count, containment_pairs, direct_pairs
@@ -94,9 +94,7 @@ from ..engine.pipeline import (
     column_relation_for,
     connected_components,
     evaluate_forest,
-    evaluate_forest_columns,
     is_forest,
-    relation_for,
 )
 from ..engine.planner import FragmentCosts, choose_fragment_engine, plan_order
 from ..engine.stats import EvalStats
@@ -145,7 +143,7 @@ def match(
         stats.trace = Tracer()
     budget = arm_budget(stats, options.budget)
     index = index or DocumentIndex(document)
-    engine = options.resolved_engine()
+    engine = options.engine
 
     results = BindingSet()
     with stats.timed():
@@ -498,13 +496,10 @@ class _Prep:
     stats: EvalStats
     static_candidates: dict[str, list[Element]]
     use_intervals: bool = True
-    #: Run coverable fragments on the columnar kernels (pre-id pools,
-    #: :mod:`repro.engine.columns`).  Requires the interval index.
-    use_columns: bool = True
     #: Lazy caches: membership id-sets feed only the backtracking core and
-    #: pre columns only the columnar pipeline, so neither is built until an
-    #: engine actually asks (a pure-pipeline run never pays for sets, a
-    #: pure-backtracking run never pays for columns).
+    #: pre columns only the set-at-a-time pipeline, so neither is built
+    #: until an engine actually asks (a pure-pipeline run never pays for
+    #: sets, a pure-backtracking run never pays for columns).
     _static_sets: dict[str, set[int]] = field(default_factory=dict, repr=False)
     _static_pres: dict[str, Sequence[int]] = field(default_factory=dict, repr=False)
 
@@ -614,7 +609,6 @@ def _prepare(
         stats=stats,
         static_candidates=static_candidates,
         use_intervals=use_intervals,
-        use_columns=use_intervals and options.columnar,
     )
 
 
@@ -858,18 +852,9 @@ def _match_pipeline(prep: _Prep, adaptive: bool = False) -> Iterator[Binding]:
                 if adaptive:
                     stats.bump("adaptive_pipeline")
                 stats.pipeline_fragments += 1
-                setwise = (
-                    _setwise_fragment_columns
-                    if prep.use_columns
-                    else _setwise_fragment
-                )
-                if fragment_span is not None:
-                    fragment_span["kernel"] = (
-                        "columnar" if prep.use_columns else "tuple"
-                    )
                 rows_before = 0 if stats.budget is None else stats.budget.rows
                 try:
-                    rows = setwise(
+                    rows = _pipeline_fragment(
                         prep, ids, edges, values_by_parent, pushed
                     )
                 except BudgetExceeded as exc:
@@ -1088,7 +1073,7 @@ def _adaptive_decision(
         pool_sizes,
         edge_estimates,
         enabled=prep.options.use_planner,
-        columnar=prep.use_columns,
+        kernel_built=True,
     )
 
 
@@ -1135,7 +1120,7 @@ def _push_down_conditions(
     return pushed, consumed
 
 
-def _setwise_fragment(
+def _pipeline_fragment(
     prep: _Prep,
     ids: list[str],
     edges: list[ContainmentEdge],
@@ -1144,77 +1129,16 @@ def _setwise_fragment(
 ) -> list[dict[str, object]]:
     """Evaluate one acyclic fragment set-at-a-time.
 
-    Pools are filtered by required circles and pushed-down predicates,
-    edge relations materialised from the cheaper side (cost-estimated from
-    the interval index), then reduced and hash-joined by
-    :func:`repro.engine.pipeline.evaluate_forest`.
-    """
-    graph, stats = prep.graph, prep.stats
-    tracer = stats.trace
-    pools: dict[str, list[Element]] = {}
-    value_rows: dict[str, dict[int, dict[str, str]]] = {}
-    with trace_span(tracer, "fragment.pools") as pools_span:
-        for node_id in ids:
-            pool, values = _filtered_pool(
-                prep,
-                node_id,
-                values_by_parent.get(node_id, ()),
-                pushed.get(node_id, ()),
-            )
-            if pools_span is not None:
-                pools_span.attributes.setdefault("sizes", {})[node_id] = len(pool)
-            if not pool:
-                return []
-            pools[node_id] = pool
-            value_rows[node_id] = values
-
-    relations = []
-    with trace_span(tracer, "fragment.relations") as relations_span:
-        for edge in edges:
-            relation = relation_for(
-                edge.parent, edge.child, _edge_pairs(prep, edge, pools), stats, key=id
-            )
-            if relations_span is not None:
-                relations_span.attributes.setdefault("pairs", {})[
-                    f"{edge.parent}-{edge.child}"
-                ] = len(relation)
-            if not relation.pairs:
-                return []
-            relations.append(relation)
-
-    rows: list[dict[str, object]] = []
-    for assignment in evaluate_forest(
-        pools, relations, stats, planner_enabled=prep.options.use_planner
-    ):
-        row: dict[str, object] = dict(assignment)
-        for node_id in ids:
-            extra = value_rows[node_id].get(id(assignment[node_id]))
-            if extra:
-                row.update(extra)
-        rows.append(row)
-    return rows
-
-
-def _setwise_fragment_columns(
-    prep: _Prep,
-    ids: list[str],
-    edges: list[ContainmentEdge],
-    values_by_parent: dict[str, list[ContainmentEdge]],
-    pushed: dict[str, list[Condition]],
-) -> list[dict[str, object]]:
-    """Evaluate one acyclic fragment on the columnar kernels.
-
-    The columnar twin of :func:`_setwise_fragment`: pools become sorted
-    ``pre``-id columns as soon as circle/predicate filtering is done,
-    relations are materialised by the interval kernels
+    Pools become sorted ``pre``-id columns as soon as circle/predicate
+    filtering is done, relations are materialised by the interval kernels
     (:mod:`repro.engine.columns`) instead of per-candidate enumeration,
-    and node objects are looked up in the index's ``pre -> element`` side
-    table only for the surviving assembled rows.
+    :func:`repro.engine.pipeline.evaluate_forest` reduces and hash-joins
+    them, and node objects are looked up in the index's ``pre -> element``
+    side table only for the surviving assembled rows.
     """
     stats, index = prep.stats, prep.index
     tracer = stats.trace
     budget = stats.budget
-    stats.bump("columnar_fragments")
     pools: dict[str, Sequence[int]] = {}
     value_rows: dict[str, dict[int, dict[str, str]]] = {}
     with trace_span(tracer, "fragment.pools") as pools_span:
@@ -1256,7 +1180,7 @@ def _setwise_fragment_columns(
                 return []
             relations.append(relation)
 
-    order, int_rows = evaluate_forest_columns(
+    order, int_rows = evaluate_forest(
         pools, relations, stats, planner_enabled=prep.options.use_planner
     )
     table = index.element_table()
@@ -1343,57 +1267,6 @@ def _filtered_pool(
             del row[node_id]
             values[id(element)] = row  # type: ignore[assignment]
     return pool, values
-
-
-def _edge_pairs(
-    prep: _Prep, edge: ContainmentEdge, pools: dict[str, list[Element]]
-) -> Iterator[tuple[Element, Element]]:
-    """Candidate pairs satisfying one containment arc.
-
-    Direct arcs probe each child's parent pointer (O(child pool)).  Deep
-    arcs are enumerated from whichever side the interval index estimates
-    cheaper: per-parent descendant slices (bisect ranges) versus per-child
-    ancestor walks.
-    """
-    parent_pool = pools[edge.parent]
-    child_pool = pools[edge.child]
-    index, stats = prep.index, prep.stats
-    budget = stats.budget
-    if not edge.deep:
-        parent_ids = {id(e) for e in parent_pool}
-        for child in child_pool:
-            parent = child.parent
-            if isinstance(parent, Element) and id(parent) in parent_ids:
-                yield (parent, child)
-        return
-
-    tag = prep.graph.nodes[edge.child].tag
-    # Cost estimates from the index: slices cost their output, ancestor
-    # walks cost their depth.
-    parent_cost = sum(index.tag_count_within(p, tag) for p in parent_pool)
-    child_cost = sum(index.depth(c) for c in child_pool)
-    if parent_cost <= child_cost:
-        child_ids = {id(c) for c in child_pool}
-        for parent in parent_pool:
-            stats.interval_lookups += 1
-            descendants = (
-                index.descendants_with_tag(parent, tag)
-                if tag is not None
-                else index.descendants(parent)
-            )
-            for child in descendants:
-                if budget is not None:
-                    budget.charge()
-                if id(child) in child_ids:
-                    yield (parent, child)
-    else:
-        parent_ids = {id(p) for p in parent_pool}
-        for child in child_pool:
-            for ancestor in child.ancestors():
-                if budget is not None:
-                    budget.charge()
-                if id(ancestor) in parent_ids:
-                    yield (ancestor, child)
 
 
 def _combine_fragments(

@@ -41,9 +41,6 @@ TEXTS = ["x", "y", "zz"]
 CONFIGS = [
     MatchOptions(engine="pipeline", use_planner=True),
     MatchOptions(engine="pipeline", use_planner=False),
-    # the columnar kernels (default on above) against the tuple pipeline
-    MatchOptions(engine="pipeline", use_planner=True, columnar=False),
-    MatchOptions(engine="pipeline", use_planner=False, columnar=False),
     MatchOptions(engine="backtracking", use_planner=True),
     MatchOptions(engine="backtracking", use_planner=False),
     MatchOptions(engine="naive", use_planner=True),
@@ -51,9 +48,6 @@ CONFIGS = [
     # the cost-based selector must agree with whatever it picks
     MatchOptions(engine="adaptive", use_planner=True),
     MatchOptions(engine="adaptive", use_planner=False),
-    MatchOptions(engine="adaptive", use_planner=True, columnar=False),
-    # legacy spelling of the ablation knobs still works
-    MatchOptions(use_planner=True, use_index=False),
 ]
 
 
@@ -299,6 +293,6 @@ def test_interval_path_matches_naive_scan_path(seed):
     graph.add_node(ElementPattern("Y", tag=rng.choice(TAGS + [None])))
     graph.add_edge(ContainmentEdge("R", "X", deep=True, position=1))
     graph.add_edge(ContainmentEdge("X", "Y", deep=rng.random() < 0.5, position=1))
-    indexed = match(graph, document, options=MatchOptions(use_index=True))
-    naive = match(graph, document, options=MatchOptions(use_index=False))
+    indexed = match(graph, document, options=MatchOptions())
+    naive = match(graph, document, options=MatchOptions(engine="naive"))
     assert binding_multiset(indexed) == binding_multiset(naive)

@@ -38,14 +38,22 @@ EDGE_LABELS = ["x", "y"]
 
 @st.composite
 def graphs(draw, max_nodes: int = 6, max_edges: int = 8):
+    """A random data graph whose node ids are strings drawn from a sparse
+    range in random insertion order, so they never coincide with the
+    dense ``0..n-1`` numbering the set-wise matcher uses internally."""
     g = LabeledGraph()
-    count = draw(st.integers(1, max_nodes))
-    for index in range(count):
-        g.add_node(index, draw(st.sampled_from(LABELS)))
+    numbers = draw(
+        st.lists(
+            st.integers(0, 99), min_size=1, max_size=max_nodes, unique=True
+        )
+    )
+    ids = [f"d{number}" for number in numbers]
+    for node in ids:
+        g.add_node(node, draw(st.sampled_from(LABELS)))
     for _ in range(draw(st.integers(0, max_edges))):
         g.add_edge(
-            draw(st.integers(0, count - 1)),
-            draw(st.integers(0, count - 1)),
+            draw(st.sampled_from(ids)),
+            draw(st.sampled_from(ids)),
             draw(st.sampled_from(EDGE_LABELS)),
         )
     return g

@@ -195,6 +195,36 @@ class TestDegradation:
         assert ("fallback", "budget") in reasons
 
 
+    def test_wglog_row_cap_degrades_with_identical_embeddings(self):
+        from repro.engine.options import MatchOptions
+        from repro.wglog import parse_rule as parse_wglog_rule
+        from repro.wglog import query
+        from repro.workloads import site_graph
+
+        # Two index edges out of one Index: a forest the pipeline joins
+        # set-at-a-time, with far more than 20 relation pairs and rows.
+        rule = parse_wglog_rule(
+            "rule r { match { i: Index  p1: Page  p2: Page"
+            "  i -index-> p1  i -index-> p2 } }"
+        )
+        instance = site_graph(30, seed=0)
+        options = MatchOptions(engine="pipeline")
+        baseline = query(rule, instance, options=options)
+        stats = EvalStats()
+        degraded = query(
+            rule, instance, options=options, stats=stats,
+            budget=QueryBudget(max_hashjoin_rows=20),
+        )
+        assert stats.extra.get("fallback_budget", 0) >= 1
+        assert stats.extra.get("degraded_fragments", 0) >= 1
+
+        def embeddings(bindings):
+            return sorted(tuple(sorted(b.items())) for b in bindings)
+
+        assert len(baseline) > 20
+        assert embeddings(degraded) == embeddings(baseline)
+
+
 class TestZeroOverhead:
     def test_unbudgeted_and_generous_budget_do_identical_work(self, doc):
         rule = parse_rule(JOIN_RULE)

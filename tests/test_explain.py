@@ -103,13 +103,15 @@ class TestSyntheticDefault:
 
 class TestAdaptiveExplain:
     def test_cost_chosen_backtracking_surfaces(self):
-        # adaptive on a tiny document with the tuple pipeline (columnar
-        # off — its deep materialisation discount would flip this tiny
-        # chain to pipeline): the walk is cheaper than materialising
-        # pools + relations, and the report says so
-        report = explain(
-            CHAIN, DOC, options=MatchOptions(engine="adaptive", columnar=False)
+        # one book among many titles: walking from the single book is
+        # cheaper than materialising the whole title pool and its
+        # relation, and the report says so
+        wide = parse_document(
+            "<bib><book><title>A</title></book>"
+            + "<entry><title>x</title></entry>" * 40
+            + "</bib>"
         )
+        report = explain(CHAIN, wide, options=MatchOptions(engine="adaptive"))
         assert report.engine == "adaptive"
         [fragment] = report.graphs[0].fragments
         assert fragment.decision == "backtracking"

@@ -453,7 +453,7 @@ class TestExecOptions:
 
         session = QuerySession(DOC)
         assert session.defaults == ExecOptions()
-        custom = ExecOptions(engine="pipeline", columnar=False)
+        custom = ExecOptions(engine="pipeline", rewrite=False)
         assert QuerySession(DOC, options=custom).defaults is custom
 
     def test_unknown_engine_rejected_at_construction(self):

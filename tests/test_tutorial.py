@@ -241,7 +241,7 @@ class TestRewriteSteps:
 
 
 class TestShardingSteps:
-    """§10: columnar counters in EXPLAIN, process-executor batch contract."""
+    """§10: pipeline counters in EXPLAIN, process-executor batch contract."""
 
     def test_step10_explain_shows_columnar_fragments(self, doc):
         from repro.explain import explain
@@ -251,7 +251,7 @@ class TestShardingSteps:
             " construct { r { collect T } }"
         )
         report = explain(join, doc)
-        assert report.stats.extra.get("columnar_fragments", 0) >= 1
+        assert report.stats.pipeline_fragments >= 1
         assert "work:" in report.render_text()
 
     def test_step10_process_batch_contract(self, doc):

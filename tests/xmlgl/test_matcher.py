@@ -358,8 +358,8 @@ class TestStatsAndOptions:
         q.attribute(book, "year", id="Y")
         baseline = match(q.graph(), bib)
         for planner in (True, False):
-            for index in (True, False):
-                options = MatchOptions(use_planner=planner, use_index=index)
+            for engine in ("adaptive", "naive"):
+                options = MatchOptions(use_planner=planner, engine=engine)
                 result = match(q.graph(), bib, options=options)
                 assert len(result) == len(baseline)
 
@@ -367,6 +367,6 @@ class TestStatsAndOptions:
         q = QueryBuilder()
         q.box("book", id="B")
         stats = EvalStats()
-        match(q.graph(), bib, options=MatchOptions(use_index=False), stats=stats)
+        match(q.graph(), bib, options=MatchOptions(engine="naive"), stats=stats)
         assert stats.full_scans == 1
         assert stats.index_lookups == 0
