@@ -10,7 +10,7 @@ patterns).
 import pytest
 
 from repro.engine import EvalStats
-from repro.xmlgl import MatchOptions, match
+from repro.xmlgl import ExecOptions, match
 from repro.xmlgl.dsl import parse_rule as parse_xg
 
 RULE = parse_xg(
@@ -25,10 +25,10 @@ RULE = parse_xg(
 GRAPH = RULE.queries[0]
 
 CONFIGS = {
-    "indexed+planned": MatchOptions(use_planner=True),
-    "indexed": MatchOptions(use_planner=False),
-    "planned": MatchOptions(use_planner=True, engine="naive"),
-    "baseline": MatchOptions(use_planner=False, engine="naive"),
+    "indexed+planned": ExecOptions(use_planner=True),
+    "indexed": ExecOptions(use_planner=False),
+    "planned": ExecOptions(use_planner=True, engine="naive"),
+    "baseline": ExecOptions(use_planner=False, engine="naive"),
 }
 
 

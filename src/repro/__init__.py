@@ -11,12 +11,14 @@ executable comparison framework.
 This module is the consolidated public facade.  Everything a library
 consumer needs rides on ``repro`` itself::
 
-    from repro import QuerySession, MatchOptions, QueryBudget, explain
+    from repro import ExecOptions, QueryBudget, QuerySession, explain
 
     session = QuerySession(document)
-    cycle = session.run(
+    result = session.run(
         "query { book as B { title as T } } construct { r { collect T } }",
-        budget=QueryBudget(deadline_ms=500, on_limit="partial"),
+        options=ExecOptions(
+            budget=QueryBudget(deadline_ms=500, on_limit="partial")
+        ),
     )
 
 The facade groups:
@@ -25,19 +27,20 @@ The facade groups:
   :class:`BatchResult`: parse-evaluate-inspect with a shared index cache.
 * **Evaluation** — :func:`parse_rule` / :func:`evaluate_rule` /
   :func:`rule_bindings` (XML-GL) and :func:`wglog_query` (WG-Log), all
-  speaking the same keyword-only ``options=`` / ``trace=`` / ``budget=``
-  contract.
+  taking the same keyword-only ``options=`` (:class:`ExecOptions`: engine,
+  rewrite and planner switches, tracing, budget).
 * **Governance** — :class:`QueryBudget` / :class:`CancelToken`
   (:mod:`repro.engine.limits`) plus the typed errors in :mod:`.errors`.
-* **Observability** — :func:`explain`, :class:`MatchOptions`,
-  :class:`EvalStats`, :class:`MetricsRegistry`.
+* **Observability** — :func:`explain`, :class:`EvalStats`, :class:`MetricsRegistry`.
 * **Static analysis** — :class:`Diagnostic`, :func:`analyze_rule`,
   :func:`analyze_program`.
 * **Mutation & continuous queries** — :class:`MutationBatch` /
   :class:`MutationResult` (typed incremental edits via
   :meth:`QuerySession.mutate`) and :class:`Subscription` /
-  :class:`ResultDelta` (:meth:`QuerySession.subscribe`), with execution
-  defaults bundled in :class:`ExecOptions`.
+  :class:`ResultDelta` (:meth:`QuerySession.subscribe`).
+
+:class:`MatchOptions` is the historical name of :class:`ExecOptions` (the
+same class).
 
 Submodule attributes resolve lazily (PEP 562), so ``import repro`` stays
 cheap; ``__all__`` is the supported surface and is snapshot-tested in
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 from . import errors
 from .session import BatchResult, QueryCycle, QuerySession
@@ -72,7 +75,7 @@ _LAZY: dict[str, tuple[str, str]] = {
     "wglog_query": (".wglog.semantics", "query"),
     # engine knobs + governance
     "MatchOptions": (".engine.options", "MatchOptions"),
-    "ExecOptions": (".session", "ExecOptions"),
+    "ExecOptions": (".engine.options", "ExecOptions"),
     "EvalStats": (".engine.stats", "EvalStats"),
     "QueryBudget": (".engine.limits", "QueryBudget"),
     "CancelToken": (".engine.limits", "CancelToken"),

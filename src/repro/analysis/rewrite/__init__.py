@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from ...errors import QueryStructureError
 from ...xmlgl.ast import (
     AttributePattern,
     QueryGraph,
@@ -48,7 +47,6 @@ from ...xmlgl.containment import ContainmentError
 from ...xmlgl.containment import contains as _graph_contains
 from ...xmlgl.rule import Rule
 from ...xmlgl.schema import SchemaGraph
-from ..diagnostics import Diagnostic
 from .canonical import canonical_graph_text, canonical_rule_text
 from .minimize import (
     _copy_graph,
@@ -320,7 +318,3 @@ def _single_root(graph: QueryGraph) -> str:
             f"multi-root graphs (roots: {sorted(roots)})"
         )
     return roots[0]
-
-
-def _unused() -> tuple[type, type]:  # pragma: no cover - keeps re-exports typed
-    return Diagnostic, QueryStructureError

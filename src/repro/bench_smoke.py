@@ -86,21 +86,22 @@ import time
 from typing import Optional, Sequence
 
 from .engine.index import DocumentIndex
+from .engine.options import ExecOptions
 from .engine.stats import EvalStats
 from .ssd.model import Document
 from .workloads import bibliography, nested_sections
 from .xmlgl.ast import QueryGraph
 from .xmlgl.dsl import parse_rule
-from .xmlgl.matcher import MatchOptions, match
+from .xmlgl.matcher import match
 
 __all__ = ["run_suite", "main"]
 
-PIPELINE = MatchOptions(engine="pipeline")
-INDEXED = MatchOptions(engine="backtracking")
-NAIVE = MatchOptions(engine="naive")
-ADAPTIVE = MatchOptions(engine="adaptive")
+PIPELINE = ExecOptions(engine="pipeline")
+INDEXED = ExecOptions(engine="backtracking")
+NAIVE = ExecOptions(engine="naive")
+ADAPTIVE = ExecOptions(engine="adaptive")
 
-ENGINES: list[tuple[str, MatchOptions]] = [
+ENGINES: list[tuple[str, ExecOptions]] = [
     ("adaptive", ADAPTIVE),
     ("pipeline", PIPELINE),
     ("indexed", INDEXED),
@@ -190,7 +191,7 @@ def _time_and_count(
     graph: QueryGraph,
     document: Document,
     index: DocumentIndex,
-    options: MatchOptions,
+    options: ExecOptions,
     repeat: int,
 ) -> tuple[float, dict, int]:
     stats = EvalStats()
@@ -219,9 +220,9 @@ def measure_tracing_overhead(
     changed what the engine did, which is a bug, so this fails hard.  The
     returned block records both timings and their ratio.
     """
-    traced = MatchOptions(engine="pipeline", trace=True)
+    traced = ExecOptions(engine="pipeline", trace=True)
 
-    def best_of(options: MatchOptions) -> tuple[float, dict, int]:
+    def best_of(options: ExecOptions) -> tuple[float, dict, int]:
         stats = EvalStats()
         bindings = match(
             graph, document, options=options, index=index, stats=stats
@@ -269,7 +270,7 @@ def measure_governance_overhead(
     """
     from .engine.limits import QueryBudget
 
-    generous = MatchOptions(
+    generous = ExecOptions(
         engine="pipeline",
         budget=QueryBudget(
             deadline_ms=3_600_000.0,
@@ -279,7 +280,7 @@ def measure_governance_overhead(
         ),
     )
 
-    def best_of(options: MatchOptions) -> tuple[float, dict, int]:
+    def best_of(options: ExecOptions) -> tuple[float, dict, int]:
         stats = EvalStats()
         bindings = match(
             graph, document, options=options, index=index, stats=stats

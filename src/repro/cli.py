@@ -347,6 +347,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     import time
 
     from .engine.limits import QueryBudget
+    from .engine.options import ExecOptions
     from .engine.metrics import global_registry
     from .engine.stats import EvalStats
     from .engine.trace import Tracer
@@ -366,11 +367,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             max_work=args.max_work,
             on_limit=args.on_limit,
         )
-    options = None
-    if args.no_rewrite:
-        from .engine.options import MatchOptions
-
-        options = MatchOptions(rewrite=False)
     if args.explain:
         from .explain import explain
 
@@ -381,7 +377,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                 file=sys.stderr,
             )
         report = explain(
-            program.rules[0], sources if sources else None, options=options
+            program.rules[0], sources if sources else None,
+            options=ExecOptions(rewrite=not args.no_rewrite),
         )
         print(report.render(args.format), file=out)
         if args.metrics:
@@ -390,16 +387,18 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     if not sources:
         print("no input document given", file=sys.stderr)
         return 2
+    options = ExecOptions(
+        rewrite=not args.no_rewrite, trace=bool(args.trace), budget=budget
+    )
     if args.workers and args.workers > 1:
-        return _run_sharded(args, program, sources, budget, options, out)
+        return _run_sharded(args, program, sources, options, out)
     stats = EvalStats()
-    if args.trace:
+    # Attached up front so plan compilation is traced too.
+    if options.trace:
         stats.trace = Tracer()
     started = time.perf_counter()
     try:
-        result = evaluate_program(
-            program, sources, options=options, budget=budget, stats=stats
-        )
+        result = evaluate_program(program, sources, options=options, stats=stats)
     except (BudgetExceeded, QueryCancelled) as error:
         elapsed = time.perf_counter() - started
         global_registry.record(stats, seconds=elapsed, query=args.rule, error=True)
@@ -432,7 +431,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_sharded(args: argparse.Namespace, program, sources, budget, options, out) -> int:
+def _run_sharded(args: argparse.Namespace, program, sources, options, out) -> int:
     """The ``repro run --workers N`` arm: document sharding + merge.
 
     Splits the (single, unnamed) input document by top-level subtree,
@@ -448,7 +447,7 @@ def _run_sharded(args: argparse.Namespace, program, sources, budget, options, ou
     from .ssd.model import Document
     from .xmlgl.unparse import unparse_rule
 
-    if args.trace:
+    if options.trace:
         print("error: --trace is incompatible with --workers", file=sys.stderr)
         return 2
     if not isinstance(sources, Document):
@@ -472,7 +471,6 @@ def _run_sharded(args: argparse.Namespace, program, sources, budget, options, ou
         {f"shard{position}": piece for position, piece in enumerate(pieces)},
         shards=len(pieces),
         options=options,
-        budget=budget,
     )
     failed = next((error for error in run.errors if error is not None), None)
     if failed is not None:
@@ -493,6 +491,7 @@ def _run_sharded(args: argparse.Namespace, program, sources, budget, options, ou
 
 
 def _cmd_explain(args: argparse.Namespace, out) -> int:
+    from .engine.options import ExecOptions
     from .explain import explain
     from .xmlgl.dsl import parse_program
 
@@ -505,14 +504,10 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
             f"# note: explaining the first of {len(program.rules)} rules",
             file=sys.stderr,
         )
-    options = None
-    if args.engine is not None or args.no_rewrite:
-        from .engine.options import MatchOptions
-
-        options = MatchOptions(
-            engine=args.engine if args.engine is not None else "adaptive",
-            rewrite=not args.no_rewrite,
-        )
+    options = ExecOptions(
+        engine=args.engine if args.engine is not None else "adaptive",
+        rewrite=not args.no_rewrite,
+    )
     report = explain(
         program.rules[0], sources if sources else None, options=options
     )

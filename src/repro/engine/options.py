@@ -1,7 +1,10 @@
-"""Evaluation options shared by both matchers.
+"""The one options type of every evaluation entry point.
 
-:class:`MatchOptions` collects the engine-selection and ablation knobs the
-XML-GL document matcher and the WG-Log graph matcher both honour:
+:class:`ExecOptions` is a frozen bundle of every run-time switch.  Every
+entry point — :class:`~repro.session.QuerySession` and its subscriptions,
+:func:`~repro.explain.explain`, the XML-GL evaluator and matcher, the
+WG-Log embedding enumerator, the process-sharded executor and the CLI —
+takes it as ``options=`` and reads tracing and the budget from it alone:
 
 * ``engine`` — the evaluation strategy:
 
@@ -41,7 +44,8 @@ XML-GL document matcher and the WG-Log graph matcher both honour:
   evaluation.  The matchers attach a fresh
   :class:`~repro.engine.trace.Tracer` to the evaluation's ``EvalStats``
   unless the caller installed one already; sessions expose the recorded
-  tree on ``QueryCycle.trace`` / ``BatchResult.trace``.
+  tree on ``QueryCycle.trace`` / ``BatchResult.trace``.  Sharded
+  execution rejects it: span trees cannot cross the pickle boundary.
 
 * ``budget`` — resource limits (:class:`repro.engine.limits.QueryBudget`):
   deadline, work-unit ceiling, bindings / result-node / join-row caps, and
@@ -58,19 +62,23 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     from .limits import QueryBudget
 
-__all__ = ["ENGINES", "MatchOptions"]
+__all__ = ["ENGINES", "ExecOptions", "MatchOptions"]
 
-#: Recognised values of :attr:`MatchOptions.engine`.
+#: Recognised values of :attr:`ExecOptions.engine`.
 ENGINES = ("adaptive", "pipeline", "backtracking", "naive")
 
 
-@dataclass
-class MatchOptions:
-    """Evaluation switches (engine choice + ablation knobs EXT-A1)."""
+@dataclass(frozen=True)
+class ExecOptions:
+    """Evaluation switches: engine, ablations, tracing and budget.
 
-    use_planner: bool = True
+    Frozen, so one bundle can be shared across threads, cached plans and
+    default arguments; derive a variant with :func:`dataclasses.replace`.
+    """
+
     engine: str = "adaptive"
     rewrite: bool = True
+    use_planner: bool = True
     trace: bool = False
     budget: Optional["QueryBudget"] = None
 
@@ -80,6 +88,6 @@ class MatchOptions:
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
 
-    def scans_only(self) -> bool:
-        """Whether evaluation must avoid the index (the naive engine)."""
-        return self.engine == "naive"
+
+#: The historical name of :class:`ExecOptions`, kept on the public surface.
+MatchOptions = ExecOptions

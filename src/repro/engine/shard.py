@@ -66,7 +66,7 @@ from ..errors import (
 from ..ssd.model import Document, Element
 from .estimator import balanced_partition
 from .limits import CancelToken, QueryBudget, arm_budget
-from .options import MatchOptions
+from .options import ExecOptions
 from .stats import EvalStats
 
 __all__ = [
@@ -102,14 +102,13 @@ class ShardTask:
     reserved name ``""`` means an unnamed single-document source (revived
     as a bare :class:`~repro.ssd.model.Document`, not a mapping).
     ``options`` must not request tracing — span trees cannot cross the
-    pickle boundary.
+    pickle boundary; its budget is armed inside the worker.
     """
 
     position: int
     query: str
     sources: tuple[tuple[str, str], ...]
-    options: Optional[MatchOptions] = None
-    budget: Optional[QueryBudget] = None
+    options: ExecOptions = ExecOptions()
 
 
 @dataclass(frozen=True)
@@ -251,13 +250,12 @@ def _evaluate_shard_task(task: ShardTask) -> ShardOutcome:
     # shard starts, and each shard owns its whole budget.  Cancellation is
     # polled at budget check sites, so a cancellable unbudgeted task arms
     # an empty (all-None) budget purely to carry the token.
-    effective_budget = task.budget
-    if effective_budget is None and cancel is not None:
-        effective_budget = QueryBudget()
-    arm_budget(stats, effective_budget, cancel)
+    budget = task.options.budget
+    if budget is None and cancel is not None:
+        budget = QueryBudget()
+    arm_budget(stats, budget, cancel)
     result_text: Optional[str] = None
     error_spec: Optional[tuple[str, str, tuple]] = None
-    rewrite = task.options.rewrite if task.options is not None else True
     started = time.perf_counter()
     try:
         rule, _, plan = lookup_or_compile(
@@ -266,7 +264,7 @@ def _evaluate_shard_task(task: ShardTask) -> ShardOutcome:
             indexes=shared_cache,
             stats=stats,
             plans=shared_plans,
-            rewrite=rewrite,
+            rewrite=task.options.rewrite,
         )
         result = evaluate_rule(
             rule,
@@ -404,8 +402,8 @@ class CorpusRun:
         return all(error is None for error in self.errors)
 
 
-def _reject_tracing(options: Optional[MatchOptions]) -> None:
-    if options is not None and options.trace:
+def _reject_tracing(options: ExecOptions) -> None:
+    if options.trace:
         raise ValueError(
             "tracing is not supported under process-sharded execution: "
             "span trees cannot cross the pickle boundary; run with the "
@@ -491,8 +489,7 @@ class ShardedExecutor:
         queries: Sequence[str],
         sources: Sources,
         *,
-        options: Optional[MatchOptions] = None,
-        budget: Optional[QueryBudget] = None,
+        options: ExecOptions = ExecOptions(),
         cancel: Optional[CancelToken] = None,
     ) -> list[ShardOutcome]:
         """One task per query over the same sources, in input order.
@@ -510,7 +507,6 @@ class ShardedExecutor:
                 query=query,
                 sources=spec,
                 options=options,
-                budget=budget,
             )
             for position, query in enumerate(queries)
         ]
@@ -527,8 +523,7 @@ class ShardedExecutor:
         corpus: Mapping[str, Document],
         *,
         shards: Optional[int] = None,
-        options: Optional[MatchOptions] = None,
-        budget: Optional[QueryBudget] = None,
+        options: ExecOptions = ExecOptions(),
         cancel: Optional[CancelToken] = None,
     ) -> CorpusRun:
         """Evaluate ``query`` against every corpus document, sharded.
@@ -567,7 +562,6 @@ class ShardedExecutor:
                         query=query,
                         sources=(("", serialized[names[position]]),),
                         options=options,
-                        budget=budget,
                     )
                     for position in group
                 )

@@ -43,12 +43,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
-from ..errors import ReproError
 from ..ssd.model import Document
 from .bindings import Binding, BindingSet
 from .conditions import AttributeOf, ContentOf
 from .mutate import MutationResult, TouchedRegion
-from .options import MatchOptions
+from .options import ExecOptions
 from .stats import EvalStats
 
 __all__ = ["QueryFootprint", "ResultDelta", "Subscription"]
@@ -242,7 +241,7 @@ class Subscription:
         query: Union[str, Any],
         sources: Sources,
         *,
-        options: Optional[MatchOptions] = None,
+        options: ExecOptions = ExecOptions(),
         indexes: Optional[Any] = None,
         plans: Optional[Any] = None,
     ) -> None:
@@ -260,7 +259,7 @@ class Subscription:
             indexes=indexes,
             stats=stats,
             plans=plans,
-            rewrite=options.rewrite if options is not None else True,
+            rewrite=options.rewrite,
         )
         self.rule = rule
         self.source_text = source_text
@@ -299,7 +298,7 @@ class Subscription:
             indexes=self._indexes,
             stats=stats,
             plans=self._plans,
-            rewrite=self._options.rewrite if self._options is not None else True,
+            rewrite=self._options.rewrite,
         )
         bindings: BindingSet = rule_bindings(
             rule,
@@ -417,12 +416,3 @@ class Subscription:
                 f"{self.skips} skips, rev {self.last_revision}"
             )
 
-
-def check_subscribable(query: Any) -> None:
-    """Raise :class:`ReproError` for rules a subscription cannot track.
-
-    Currently everything evaluable is subscribable; the hook exists so the
-    session raises one typed error from one place if that changes.
-    """
-    if query is None:
-        raise ReproError("cannot subscribe to an empty query")

@@ -7,7 +7,7 @@ did and how long it took as a tree of :class:`Span` objects collected by a
 on :attr:`repro.engine.stats.EvalStats.trace` (``None`` by default), and
 every instrumentation site guards on that attribute, so a disabled trace
 costs one attribute read and an ``is None`` test per *stage*, never per
-candidate.  Enable it with ``MatchOptions(trace=True)`` or by attaching a
+candidate.  Enable it with ``ExecOptions(trace=True)`` or by attaching a
 tracer yourself::
 
     stats = EvalStats()

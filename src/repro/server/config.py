@@ -80,13 +80,6 @@ class TenantConfig:
                 f"expected one of {ON_LIMIT_POLICIES}"
             )
 
-    def budget_template(self) -> Optional[QueryBudget]:
-        """The tenant-wide budget, or ``None`` when every field is unset."""
-        values = {name: getattr(self, name) for name in _BUDGET_FIELDS}
-        if all(value is None for value in values.values()):
-            return None
-        return QueryBudget(on_limit=self.on_limit, **values)
-
     def overlay(self, request: Mapping[str, Any]) -> Optional[QueryBudget]:
         """The effective budget for one request: template tightened.
 
@@ -94,8 +87,8 @@ class TenantConfig:
         fields; unknown keys are the caller's problem — this method reads
         only the known budget fields plus ``on_limit``.  Returns ``None``
         when neither side sets any ceiling, so unlimited tenants stay
-        genuinely unbudgeted (the session layer treats an explicit
-        ``budget=None`` as "off").
+        genuinely unbudgeted (the service passes it as
+        ``replace(session.defaults, budget=...)``).
         """
         values = {
             name: _tighter(getattr(self, name), request.get(name))

@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, Union
 
 from .engine.cache import DocumentIndexCache, shared_cache
-from .engine.limits import CancelToken, QueryBudget, arm_budget
+from .engine.limits import CancelToken, arm_budget
 from .engine.metrics import MetricsRegistry
 from .engine.mutate import MutationBatch, MutationResult, apply_batch
-from .engine.options import ENGINES
+from .engine.options import ExecOptions
 from .engine.plan_cache import PlanCache, shared_plans
 from .engine.stats import EvalStats
 from .engine.subscribe import Subscription
@@ -38,73 +37,11 @@ from .errors import ReproError
 from .ssd.model import Document
 from .xmlgl.dsl import parse_rule
 from .xmlgl.evaluator import evaluate_rule, lookup_or_compile
-from .xmlgl.matcher import MatchOptions
 from .xmlgl.rule import Rule
 
 __all__ = ["BatchResult", "ExecOptions", "QueryCycle", "QuerySession"]
 
 Sources = Union[Document, Mapping[str, Document]]
-
-
-@dataclass(frozen=True)
-class ExecOptions:
-    """The execution contract of a :class:`QuerySession` call.
-
-    One immutable bundle of every run-time switch — engine selection,
-    rewrite and planner ablations, tracing and budget — passed as the single
-    keyword-only ``options=`` of :meth:`QuerySession.run`,
-    :meth:`~QuerySession.execute` and :meth:`~QuerySession.run_batch` (and
-    as the session default).  A per-call ``ExecOptions`` replaces the
-    session default *wholesale*: derive from :attr:`QuerySession.defaults`
-    with :func:`dataclasses.replace` to override one field ("this tenant
-    runs unbudgeted" is ``replace(session.defaults, budget=None)``).
-
-    This supersedes the historical trio of ``options=MatchOptions(...)``
-    plus ``trace=`` / ``budget=`` overlay keywords; those still work as
-    deprecated shims (``DeprecationWarning``) and resolve to the same
-    bundle.  Frozen so a bundle can be shared across threads and cached
-    plans without defensive copies.
-    """
-
-    engine: str = "adaptive"
-    rewrite: bool = True
-    use_planner: bool = True
-    trace: bool = False
-    budget: Optional[QueryBudget] = None
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
-
-    def match_options(self) -> MatchOptions:
-        """The equivalent engine-level :class:`MatchOptions`."""
-        return MatchOptions(
-            use_planner=self.use_planner,
-            engine=self.engine,
-            rewrite=self.rewrite,
-            trace=self.trace,
-            budget=self.budget,
-        )
-
-    @classmethod
-    def from_match_options(cls, options: MatchOptions) -> "ExecOptions":
-        """Lift a legacy :class:`MatchOptions` into the new contract."""
-        return cls(
-            engine=options.engine,
-            rewrite=options.rewrite,
-            use_planner=options.use_planner,
-            trace=options.trace,
-            budget=options.budget,
-        )
-
-#: Default for the per-call ``trace=`` / ``budget=`` overrides: distinct
-#: from an explicit ``None`` so callers can *disable* a session-default
-#: budget or tracer for one call (``budget=None`` means "no budget", not
-#: "defer to the session options").  The query service relies on this to
-#: overlay per-tenant budgets — including "unlimited" — on shared sessions.
-_UNSET: Any = object()
 
 
 @dataclass
@@ -160,20 +97,13 @@ class QuerySession:
     def __init__(
         self,
         sources: Sources,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
+        options: ExecOptions = ExecOptions(),
         indexes: Optional[DocumentIndexCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         plans: Optional[PlanCache] = None,
     ) -> None:
         self._sources = sources
-        # The session default is normalised to ExecOptions; MatchOptions
-        # is accepted here (without a warning — it predates ExecOptions
-        # and is harmless as a default) and lifted.
-        self._options = (
-            ExecOptions.from_match_options(options)
-            if isinstance(options, MatchOptions)
-            else options
-        )
+        self._options = options
         # Indexes come from the process-wide cache by default, so several
         # sessions over one document share a single snapshot; pass a
         # private DocumentIndexCache to isolate (e.g. mutation-heavy use).
@@ -195,88 +125,23 @@ class QuerySession:
 
     @property
     def defaults(self) -> ExecOptions:
-        """The session's effective default :class:`ExecOptions`.
+        """The session's default :class:`ExecOptions`.
 
-        Always a concrete bundle (never ``None``), so per-call overrides
-        are one ``dataclasses.replace`` away.
+        A per-call ``options=`` replaces it wholesale, so overriding one
+        field is one :func:`dataclasses.replace` away ("this call runs
+        unbudgeted" is ``replace(session.defaults, budget=None)``).
         """
-        return self._options if self._options is not None else ExecOptions()
+        return self._options
 
     # -- running ---------------------------------------------------------------
-
-    def _effective(
-        self,
-        options: Optional[Union[ExecOptions, MatchOptions]],
-        trace: Any,
-        budget: Any,
-    ) -> tuple[Optional[MatchOptions], bool, Optional[QueryBudget]]:
-        """Resolve the per-call options against the session defaults.
-
-        The current contract is one :class:`ExecOptions` bundle that
-        replaces the session default wholesale.  Two deprecated shims are
-        resolved here, each under a ``DeprecationWarning``:
-
-        * ``options=MatchOptions(...)`` is lifted via
-          :meth:`ExecOptions.from_match_options`;
-        * ``trace=`` / ``budget=`` overlay keywords, whose :data:`_UNSET`
-          sentinel distinguishes "omitted" (defer to the options) from an
-          explicit ``None``/``False`` ("off for this call").
-
-        Returns the engine-level :class:`MatchOptions` the matcher layers
-        consume, normalised to the *resolved* tracing/budget decisions.
-        """
-        if isinstance(options, MatchOptions):
-            warnings.warn(
-                "passing MatchOptions to QuerySession.run/execute/run_batch "
-                "is deprecated; pass repro.ExecOptions",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            options = ExecOptions.from_match_options(options)
-        opts = options if options is not None else self._options
-        if trace is _UNSET:
-            tracing = bool(opts.trace) if opts is not None else False
-        else:
-            warnings.warn(
-                "the trace= keyword is deprecated; pass "
-                "ExecOptions(trace=...) (derive from session.defaults)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            tracing = bool(trace)
-        if budget is _UNSET:
-            effective_budget = opts.budget if opts is not None else None
-        else:
-            warnings.warn(
-                "the budget= keyword is deprecated; pass "
-                "ExecOptions(budget=...) (derive from session.defaults)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            effective_budget = budget
-        # Normalise the options to the *resolved* decisions: the matcher
-        # layers re-derive tracing/budgets from the options they receive,
-        # so a per-call "off" override must not leave the session flags
-        # visible downstream.
-        if opts is not None and (
-            bool(opts.trace) is not tracing or opts.budget is not effective_budget
-        ):
-            opts = replace(opts, trace=tracing, budget=effective_budget)
-        return (
-            opts.match_options() if opts is not None else None,
-            tracing,
-            effective_budget,
-        )
 
     def _execute_one(
         self,
         query: Union[str, Rule],
+        options: ExecOptions,
         *,
         parsed: Optional[Rule] = None,
         position: int = 0,
-        opts: Optional[MatchOptions] = None,
-        tracing: bool = False,
-        effective_budget: Optional[QueryBudget] = None,
         cancel: Optional[CancelToken] = None,
     ) -> BatchResult:
         """Evaluate one query end to end; the shared core of every run path.
@@ -291,9 +156,11 @@ class QuerySession:
         row; anything else (a genuine bug) is recorded, then re-raised.
         """
         stats = EvalStats()
-        if tracing:
+        # Tracer and budget are attached before the plan lookup, so the
+        # parse span is recorded and one deadline covers compilation too.
+        if options.trace:
             stats.trace = Tracer()
-        arm_budget(stats, effective_budget, cancel)
+        arm_budget(stats, options.budget, cancel)
         source_text = query if isinstance(query, str) else None
         rule: Optional[Rule] = parsed if parsed is not None else (
             query if isinstance(query, Rule) else None
@@ -311,12 +178,12 @@ class QuerySession:
                 indexes=self._indexes,
                 stats=stats,
                 plans=self._plans,
-                rewrite=opts.rewrite if opts is not None else True,
+                rewrite=options.rewrite,
             )
             result = Document(
                 evaluate_rule(
-                    rule, self._sources, options=opts, trace=tracing,
-                    stats=stats, indexes=self._indexes, plan=plan,
+                    rule, self._sources, options=options, stats=stats,
+                    indexes=self._indexes, plan=plan,
                 )
             )
         except Exception as exc:
@@ -346,9 +213,7 @@ class QuerySession:
         self,
         query: Union[str, Rule],
         *,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
-        trace: Optional[bool] = _UNSET,
-        budget: Optional[QueryBudget] = _UNSET,
+        options: Optional[ExecOptions] = None,
         cancel: Optional[CancelToken] = None,
     ) -> Document:
         """Execute a query; it becomes the current cycle.
@@ -359,14 +224,9 @@ class QuerySession:
         The keyword-only ``options=`` takes one :class:`ExecOptions`
         bundle — engine, rewrite and planner switches, tracing, budget — that
         replaces the session defaults for this cycle (derive from
-        :attr:`defaults` to override a single field).  The historical
-        ``options=MatchOptions(...)`` and the ``trace=`` / ``budget=``
-        overlay keywords still resolve identically but are deprecated
-        shims (``DeprecationWarning``): omitting ``trace``/``budget``
-        defers to the options, passing ``None`` explicitly switches the
-        feature *off* for this call.  The budget
-        governs the run (its deadline starts here); under
-        ``on_limit="raise"`` a tripped limit propagates as
+        :attr:`defaults` to override a single field); omitted, the session
+        defaults apply.  The budget governs the run (its deadline starts
+        here); under ``on_limit="raise"`` a tripped limit propagates as
         :class:`~repro.errors.BudgetExceeded` / ``DeadlineExceeded``, under
         ``"partial"`` the truncated result still becomes a cycle, flagged
         ``stats.extra["truncated"]``.  ``cancel`` is a
@@ -376,12 +236,8 @@ class QuerySession:
         session's :meth:`metrics` registry (failures with ``error=True``,
         consistent with ``run_batch`` rows).
         """
-        opts, tracing, effective_budget = self._effective(options, trace, budget)
         row = self._execute_one(
-            query,
-            opts=opts,
-            tracing=tracing,
-            effective_budget=effective_budget,
+            query, options if options is not None else self._options,
             cancel=cancel,
         )
         if row.error is not None:
@@ -405,15 +261,13 @@ class QuerySession:
         self,
         query: Union[str, Rule],
         *,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
-        trace: Optional[bool] = _UNSET,
-        budget: Optional[QueryBudget] = _UNSET,
+        options: Optional[ExecOptions] = None,
         cancel: Optional[CancelToken] = None,
     ) -> BatchResult:
         """Evaluate one query outside the cycle history; the serving path.
 
         Takes the same keyword-only :class:`ExecOptions` contract as
-        :meth:`run` (with the same deprecated shims).
+        :meth:`run`.
         Same contract as a single :meth:`run_batch` row: every
         :class:`~repro.errors.ReproError` — parse, evaluation, budget —
         is captured on :attr:`BatchResult.error` instead of raising, the
@@ -422,12 +276,8 @@ class QuerySession:
         never read or written, so ``repro.server`` calls this from
         executor worker threads against one shared session per document.
         """
-        opts, tracing, effective_budget = self._effective(options, trace, budget)
         return self._execute_one(
-            query,
-            opts=opts,
-            tracing=tracing,
-            effective_budget=effective_budget,
+            query, options if options is not None else self._options,
             cancel=cancel,
         )
 
@@ -436,9 +286,7 @@ class QuerySession:
         queries: Sequence[Union[str, Rule]],
         *,
         max_workers: Optional[int] = None,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
-        trace: Optional[bool] = _UNSET,
-        budget: Optional[QueryBudget] = _UNSET,
+        options: Optional[ExecOptions] = None,
         cancel: Optional[CancelToken] = None,
         executor: str = "thread",
     ) -> list[BatchResult]:
@@ -465,9 +313,8 @@ class QuerySession:
         reflect worker-side, not session-side, cache state.
 
         The keyword-only ``options=`` takes the same :class:`ExecOptions`
-        bundle as :meth:`run` (with the same deprecated shims).  Its
-        budget governs **each row
-        separately**: every row arms its own
+        bundle as :meth:`run`.  Its budget governs **each row separately**:
+        every row arms its own
         :class:`~repro.engine.limits.BudgetState` when its evaluation
         starts, so one slow row exhausts only its own deadline.  Under
         ``on_limit="raise"`` a tripped row is captured in
@@ -483,8 +330,8 @@ class QuerySession:
         starts.  A batch does not enter the cycle history — it is a bulk
         measurement, not a refinement step.
 
-        With tracing on (``trace=True``, or the session options' flag),
-        every row gets its own :class:`~repro.engine.trace.Tracer` on
+        With tracing on (``ExecOptions(trace=True)``), every row gets its
+        own :class:`~repro.engine.trace.Tracer` on
         ``BatchResult.trace`` — per-query span trees even under
         concurrency, because the tracer rides on the row's private
         ``EvalStats``.  Every row is folded into :meth:`metrics`.
@@ -493,7 +340,7 @@ class QuerySession:
             raise ValueError(
                 f"unknown executor {executor!r}; expected 'thread' or 'process'"
             )
-        opts, tracing, effective_budget = self._effective(options, trace, budget)
+        opts = options if options is not None else self._options
         prepared: list[tuple[Rule, Optional[str]]] = []
         for query in queries:
             if isinstance(query, str):
@@ -501,21 +348,18 @@ class QuerySession:
             else:
                 prepared.append((query, None))
         if executor == "process":
-            if tracing:
+            if opts.trace:
                 raise ReproError(
                     "tracing is not supported with executor='process': span "
                     "trees cannot cross the pickle boundary — use "
                     "executor='thread' or trace a single run()"
                 )
-            return self._run_batch_process(
-                prepared, max_workers, opts, effective_budget, cancel
-            )
+            return self._run_batch_process(prepared, max_workers, opts, cancel)
         for document in self._documents():
             self._indexes.get(document)
         # Prewarm the plan cache on the calling thread (throwaway stats):
         # duplicate queries across rows compile once instead of racing, and
         # every row then takes a deterministic plan-cache hit.
-        batch_rewrite = opts.rewrite if opts is not None else True
         for rule, source_text in prepared:
             lookup_or_compile(
                 source_text if source_text is not None else rule,
@@ -524,7 +368,7 @@ class QuerySession:
                 indexes=self._indexes,
                 stats=EvalStats(),
                 plans=self._plans,
-                rewrite=batch_rewrite,
+                rewrite=opts.rewrite,
             )
 
         def evaluate_one(item: tuple[int, tuple[Rule, Optional[str]]]) -> BatchResult:
@@ -535,11 +379,9 @@ class QuerySession:
             # the registry from the worker thread.
             return self._execute_one(
                 source_text if source_text is not None else rule,
+                opts,
                 parsed=rule,
                 position=position,
-                opts=opts,
-                tracing=tracing,
-                effective_budget=effective_budget,
                 cancel=cancel,
             )
 
@@ -553,8 +395,7 @@ class QuerySession:
         self,
         prepared: list[tuple[Rule, Optional[str]]],
         max_workers: Optional[int],
-        opts: Optional[MatchOptions],
-        budget: Optional[QueryBudget],
+        options: ExecOptions,
         cancel: Optional[CancelToken],
     ) -> list[BatchResult]:
         """The ``executor="process"`` arm of :meth:`run_batch`.
@@ -577,7 +418,7 @@ class QuerySession:
         ]
         sharded = ShardedExecutor(max_workers=max_workers)
         outcomes = sharded.run_batch(
-            texts, self._sources, options=opts, budget=budget, cancel=cancel
+            texts, self._sources, options=options, cancel=cancel
         )
         # Realign by task position before pairing with ``prepared``: the
         # zip below would otherwise attach stats/errors to the wrong row
@@ -680,7 +521,7 @@ class QuerySession:
         self,
         query: Union[str, Rule],
         *,
-        options: Optional[Union[ExecOptions, MatchOptions]] = None,
+        options: Optional[ExecOptions] = None,
     ) -> Subscription:
         """Register ``query`` as a continuous query over this session.
 
@@ -693,19 +534,10 @@ class QuerySession:
         takes the same :class:`ExecOptions` bundle as :meth:`run` and
         defaults to the session options.
         """
-        if isinstance(options, MatchOptions):
-            warnings.warn(
-                "passing MatchOptions to QuerySession.subscribe is "
-                "deprecated; pass repro.ExecOptions",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = ExecOptions.from_match_options(options)
-        opts = options if options is not None else self._options
         subscription = Subscription(
             query,
             self._sources,
-            options=opts.match_options() if opts is not None else None,
+            options=options if options is not None else self._options,
             indexes=self._indexes,
             plans=self._plans,
         )
@@ -765,7 +597,7 @@ class QuerySession:
             rule = query
         return explain_rule(
             rule, self._sources,
-            options=self._options.match_options() if self._options else None,
+            options=self._options,
             indexes=self._indexes, plans=self._plans,
         )
 

@@ -21,8 +21,8 @@ from typing import Any, Hashable, Optional
 
 from ..engine.bindings import Binding, BindingSet
 from ..engine.conditions import condition_variables
-from ..engine.limits import QueryBudget, arm_budget, mark_truncated
-from ..engine.options import MatchOptions
+from ..engine.limits import arm_budget, mark_truncated
+from ..engine.options import ExecOptions
 from ..engine.stats import EvalStats
 from ..engine.trace import Tracer, span as trace_span
 from ..errors import BudgetExceeded, QueryStructureError, SchemaError
@@ -97,9 +97,7 @@ def embeddings(
     stats: Optional[EvalStats] = None,
     preflight: bool = True,
     *,
-    options: Optional[MatchOptions] = None,
-    trace: Optional[bool] = None,
-    budget: Optional[QueryBudget] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> BindingSet:
     """All embeddings of the rule's red part into ``instance``.
 
@@ -107,10 +105,10 @@ def embeddings(
     requires distinct red nodes to bind distinct instance nodes (G-Log
     embeddings); the default is homomorphic matching.
 
-    The keyword-only ``options=`` / ``trace=`` / ``budget=`` trio is the
-    unified run contract shared with the XML-GL evaluator and
-    ``QuerySession.run``: ``trace`` overrides ``options.trace``, ``budget``
-    overrides ``options.budget``.  A tripped budget raises
+    The keyword-only ``options=`` (:class:`~repro.engine.options.ExecOptions`)
+    is the run contract shared with the XML-GL evaluator and
+    ``QuerySession.run``: its ``trace`` flag records a span tree and its
+    ``budget`` governs the run.  A tripped budget raises
     :class:`~repro.errors.BudgetExceeded` carrying the partial stats, or —
     under ``on_limit="partial"`` — returns the bindings gathered so far,
     flagged ``stats.extra["truncated"]``.
@@ -130,14 +128,10 @@ def embeddings(
     rule.validate()
     if schema is not None:
         check_against_schema(rule, schema)
-    options = options or MatchOptions()
     stats = stats if stats is not None else EvalStats()
-    tracing = trace if trace is not None else options.trace
-    if tracing and stats.trace is None:
+    if options.trace and stats.trace is None:
         stats.trace = Tracer()
-    state = arm_budget(
-        stats, budget if budget is not None else options.budget
-    )
+    state = arm_budget(stats, options.budget)
     if options.rewrite:
         from ..analysis.rewrite import rewrite_rulegraph
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from ..engine.bindings import Binding
+from ..engine.options import ExecOptions
 from ..engine.stats import EvalStats
 from ..errors import EvaluationError
 from ..graph.matching import MatchSpec, find_homomorphisms
@@ -51,24 +52,22 @@ def query(
     injective: bool = False,
     stats: Optional[EvalStats] = None,
     *,
-    options=None,
-    trace: Optional[bool] = None,
-    budget=None,
+    options: ExecOptions = ExecOptions(),
 ):
     """Evaluate a rule as a query: the embeddings of its red part.
 
-    Accepts the unified keyword-only ``options=`` / ``trace=`` /
-    ``budget=`` run contract (see
+    Accepts the keyword-only ``options=`` run contract of
     :func:`repro.xmlgl.evaluator.evaluate_rule` — identical semantics and
-    defaults): ``options`` (a :class:`~repro.engine.options.MatchOptions`)
-    selects the evaluation engine, ``trace`` overrides its trace flag, and
-    ``budget`` (a :class:`~repro.engine.limits.QueryBudget`) governs the
-    run — raising typed errors or returning a truncated binding set
-    flagged ``stats.extra["truncated"]`` under ``on_limit="partial"``.
+    defaults: the :class:`~repro.engine.options.ExecOptions` bundle
+    selects the evaluation engine, its ``trace`` flag records a span tree,
+    and its ``budget`` (a :class:`~repro.engine.limits.QueryBudget`)
+    governs the run — raising typed errors or returning a truncated
+    binding set flagged ``stats.extra["truncated"]`` under
+    ``on_limit="partial"``.
     """
     return embeddings(
         rule, instance, schema=schema, injective=injective, stats=stats,
-        options=options, trace=trace, budget=budget,
+        options=options,
     )
 
 

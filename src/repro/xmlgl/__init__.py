@@ -14,6 +14,7 @@ Public API:
   subsuming DTDs.
 """
 
+from ..engine.options import ExecOptions
 from .ast import (
     AttributePattern,
     ContainmentEdge,
@@ -56,7 +57,7 @@ from .construct import (
     build,
 )
 from .evaluator import evaluate_program, evaluate_rule, rule_bindings
-from .matcher import MatchOptions, match
+from .matcher import match
 from .rule import Program, Rule
 from .translate import TranslationError, to_path, translatable
 from .containment import ContainmentError, contains, equivalent
@@ -76,7 +77,7 @@ __all__ = [
     "regex", "and_", "or_", "not_", "elem", "text", "value_of", "copy_of",
     "collect", "group", "aggregate", "attribute_const", "attribute_from",
     # evaluation
-    "match", "MatchOptions", "evaluate_rule", "evaluate_program",
+    "match", "ExecOptions", "evaluate_rule", "evaluate_program",
     "rule_bindings",
     # translation
     "to_path", "translatable", "TranslationError",

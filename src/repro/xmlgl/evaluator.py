@@ -22,7 +22,8 @@ from typing import Mapping, Optional, Union
 from ..engine.bindings import BindingSet
 from ..engine.cache import DocumentIndexCache, shared_cache
 from ..engine.conditions import DocumentAccessor
-from ..engine.limits import QueryBudget, arm_budget, mark_truncated, truncate_element
+from ..engine.limits import arm_budget, mark_truncated, truncate_element
+from ..engine.options import ExecOptions
 from ..engine.plan_cache import CompiledPlan, PlanCache, shared_plans
 from ..engine.stats import EvalStats
 from ..engine.trace import Tracer, span as trace_span
@@ -30,7 +31,7 @@ from ..errors import BudgetExceeded, EvaluationError
 from ..ssd.model import Document, Element
 from .ast import QueryGraph
 from .construct import build
-from .matcher import MatchOptions, compile_graph, match
+from .matcher import compile_graph, match
 from .rule import Program, Rule
 
 __all__ = [
@@ -260,9 +261,7 @@ def rule_bindings(
     rule: Rule,
     sources: Sources,
     *,
-    options: Optional[MatchOptions] = None,
-    trace: Optional[bool] = None,
-    budget: Optional[QueryBudget] = None,
+    options: ExecOptions = ExecOptions(),
     stats: Optional[EvalStats] = None,
     indexes: Optional[DocumentIndexCache] = None,
     preflight: bool = True,
@@ -270,12 +269,12 @@ def rule_bindings(
 ) -> BindingSet:
     """Matched and joined bindings of a rule (before construction).
 
-    The keyword-only ``options=`` / ``trace=`` / ``budget=`` trio is the
-    unified run contract shared with :func:`evaluate_rule`,
+    The keyword-only ``options=`` (:class:`~repro.engine.options.ExecOptions`)
+    is the run contract shared with :func:`evaluate_rule`,
     :meth:`repro.session.QuerySession.run` and WG-Log's
-    :func:`~repro.wglog.semantics.query`: ``trace`` overrides
-    ``options.trace`` for this call, ``budget`` overrides
-    ``options.budget``, and both default to deferring to the options.
+    :func:`~repro.wglog.semantics.query`: it selects the engine, and its
+    ``trace`` flag and ``budget`` apply unless ``stats`` already carries a
+    tracer or an armed budget (the caller's wins).
 
     ``indexes`` is the :class:`~repro.engine.cache.DocumentIndexCache` to
     reuse :class:`DocumentIndex` snapshots from; it defaults to the shared
@@ -293,16 +292,10 @@ def rule_bindings(
     compilation are skipped in favour of the cached analysis.
     """
     stats = stats if stats is not None else EvalStats()
-    tracing = trace if trace is not None else (
-        options.trace if options is not None else False
-    )
-    if tracing and stats.trace is None:
+    if options.trace and stats.trace is None:
         stats.trace = Tracer()
-    effective_budget = budget if budget is not None else (
-        options.budget if options is not None else None
-    )
     # Arm here (not in match) so one deadline spans preflight-to-construct.
-    arm_budget(stats, effective_budget)
+    arm_budget(stats, options.budget)
     if plan is not None:
         with trace_span(stats.trace, "preflight") as preflight_span:
             if preflight_span is not None:
@@ -332,7 +325,7 @@ def rule_bindings(
             "match",
             graph=position,
             source=graph.source or "-",
-            engine=(options or MatchOptions()).engine,
+            engine=options.engine,
             language="xmlgl",
         ) as match_span:
             bindings = match(
@@ -360,19 +353,17 @@ def evaluate_rule(
     rule: Rule,
     sources: Sources,
     *,
-    options: Optional[MatchOptions] = None,
-    trace: Optional[bool] = None,
-    budget: Optional[QueryBudget] = None,
+    options: ExecOptions = ExecOptions(),
     stats: Optional[EvalStats] = None,
     indexes: Optional[DocumentIndexCache] = None,
     plan: Optional[CompiledPlan] = None,
 ) -> Element:
     """Evaluate one rule to its constructed result element.
 
-    Accepts the unified keyword-only ``options=`` / ``trace=`` / ``budget=``
-    contract (see :func:`rule_bindings`, including ``plan=`` for cached
-    compiled plans).  When a budget caps
-    ``max_result_nodes``, the constructed tree is checked after building:
+    Accepts the keyword-only ``options=`` contract of
+    :func:`rule_bindings` (and its ``plan=`` for cached compiled plans).
+    When a budget caps ``max_result_nodes``, the constructed tree is
+    checked after building:
     under ``on_limit="raise"`` an oversized result raises
     :class:`~repro.errors.BudgetExceeded`; under ``"partial"`` it is pruned
     in document order to the cap (well-formed, every kept node retains its
@@ -383,8 +374,6 @@ def evaluate_rule(
         rule,
         sources,
         options=options,
-        trace=trace,
-        budget=budget,
         stats=stats,
         indexes=indexes,
         plan=plan,
@@ -424,9 +413,7 @@ def evaluate_program(
     program: Program,
     sources: Sources,
     *,
-    options: Optional[MatchOptions] = None,
-    trace: Optional[bool] = None,
-    budget: Optional[QueryBudget] = None,
+    options: ExecOptions = ExecOptions(),
     stats: Optional[EvalStats] = None,
 ) -> Document:
     """Evaluate a program: union of rule results under a common root.
@@ -440,14 +427,13 @@ def evaluate_program(
     ``repro run --no-rewrite``) and evaluation runs the rewritten rule.
     """
     indexes = shared_cache
-    rewrite = options.rewrite if options is not None else True
     plan_stats = stats if stats is not None else EvalStats()
 
     def run_one(rule: Rule, pool: Sources) -> Element:
-        plan = compile_plan(rule, rewrite=rewrite, stats=plan_stats)
+        plan = compile_plan(rule, rewrite=options.rewrite, stats=plan_stats)
         return evaluate_rule(
-            plan.rule, pool, options=options, trace=trace, budget=budget,
-            stats=stats, indexes=indexes, plan=plan,
+            plan.rule, pool, options=options, stats=stats, indexes=indexes,
+            plan=plan,
         )
 
     if program.chained:

@@ -30,7 +30,7 @@ repeated queries (through the plan cache,
 :mod:`repro.engine.plan_cache`) skip the analysis entirely.  Document-
 dependent state (candidate pools) is prepared per evaluation.
 
-Four engines share this module (``MatchOptions.engine``):
+Four engines share this module (``ExecOptions.engine``):
 
 * ``"adaptive"`` (default) runs the pipeline's fragment loop but decides
   **per fragment** between set-at-a-time and backtracking evaluation by
@@ -89,7 +89,7 @@ from ..engine.index import DocumentIndex
 from ..engine.joins import equijoin_key
 from ..engine.limits import arm_budget, mark_truncated
 from ..engine.narrowing import intersect_pools
-from ..engine.options import MatchOptions
+from ..engine.options import ExecOptions
 from ..engine.pipeline import (
     column_relation_for,
     connected_components,
@@ -109,7 +109,7 @@ from .ast import (
     TextPattern,
 )
 
-__all__ = ["CompiledGraphPlan", "MatchOptions", "compile_graph", "match"]
+__all__ = ["CompiledGraphPlan", "compile_graph", "match"]
 
 _ACCESSOR = DocumentAccessor()
 
@@ -117,7 +117,7 @@ _ACCESSOR = DocumentAccessor()
 def match(
     graph: QueryGraph,
     document: Document,
-    options: Optional[MatchOptions] = None,
+    options: ExecOptions = ExecOptions(),
     index: Optional[DocumentIndex] = None,
     stats: Optional[EvalStats] = None,
     plan: Optional["CompiledGraphPlan"] = None,
@@ -137,7 +137,6 @@ def match(
     """
     if plan is None:
         plan = compile_graph(graph)
-    options = options or MatchOptions()
     stats = stats if stats is not None else EvalStats()
     if options.trace and stats.trace is None:
         stats.trace = Tracer()
@@ -492,7 +491,7 @@ class _Prep:
     branch: _BranchPlan
     document: Document
     index: DocumentIndex
-    options: MatchOptions
+    options: ExecOptions
     stats: EvalStats
     static_candidates: dict[str, list[Element]]
     use_intervals: bool = True
@@ -567,13 +566,13 @@ def _prepare(
     branch: _BranchPlan,
     document: Document,
     index: DocumentIndex,
-    options: MatchOptions,
+    options: ExecOptions,
     stats: EvalStats,
 ) -> Optional[_Prep]:
     """Bind one compiled branch to a document; ``None`` when some box's
     pool is empty (the branch cannot bind anything)."""
     graph = branch.graph
-    use_intervals = not options.scans_only()
+    use_intervals = not options.engine == "naive"
     static_candidates: dict[str, list[Element]] = {}
     for node_id in branch.element_ids:
         pool = _static_candidates(
@@ -1381,7 +1380,7 @@ def _static_candidates(
     node: ElementPattern,
     document: Document,
     index: DocumentIndex,
-    options: MatchOptions,
+    options: ExecOptions,
     stats: EvalStats,
     required_attributes: list[str],
 ) -> list[Element]:
@@ -1392,7 +1391,7 @@ def _static_candidates(
         if node.tag is not None and root.tag != node.tag:
             return []
         return [root]
-    if options.scans_only():
+    if options.engine == "naive":
         stats.full_scans += 1
         if node.tag is None:
             return list(document.iter())

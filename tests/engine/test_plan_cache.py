@@ -1,6 +1,8 @@
 """Tests for the compiled-plan cache (repro.engine.plan_cache) and its
 wiring through QuerySession, tracing and stats-epoch invalidation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine.cache import DocumentIndexCache
@@ -77,7 +79,8 @@ def session(caches):
 
 class TestSessionWiring:
     def test_repeat_run_hits_and_skips_parse(self, session):
-        session.run(QUERY, trace=True)
+        traced = replace(session.defaults, trace=True)
+        session.run(QUERY, options=traced)
         cold = session.current()
         assert cold.stats.plan_cache_misses == 1
         assert cold.stats.plan_cache_hits == 0
@@ -85,7 +88,7 @@ class TestSessionWiring:
         assert cold.trace.find("plan.cache.compile")
         assert cold.trace.find("plan.cache.miss")
 
-        session.run(QUERY, trace=True)
+        session.run(QUERY, options=traced)
         warm = session.current()
         assert warm.stats.plan_cache_hits == 1
         assert warm.stats.plan_cache_misses == 0

@@ -9,6 +9,7 @@ fork-safety regression for the process-wide singleton caches.
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.engine.cache import shared_cache
 from repro.engine.estimator import balanced_partition
 from repro.engine.limits import CancelToken, QueryBudget
 from repro.engine.metrics import global_registry
-from repro.engine.options import MatchOptions
+from repro.engine.options import ExecOptions
 from repro.engine.plan_cache import shared_plans
 from repro.engine.shard import (
     CorpusRun,
@@ -194,16 +195,20 @@ class TestTaskSpecs:
 
     def test_tracing_rejected_before_any_fork(self):
         with pytest.raises(ValueError, match="pickle boundary"):
-            _reject_tracing(MatchOptions(trace=True))
+            _reject_tracing(ExecOptions(trace=True))
         with pytest.raises(ValueError):
             ShardedExecutor(max_workers=1).run_batch(
-                [ALL_BOOKS], BIB, options=MatchOptions(trace=True)
+                [ALL_BOOKS], BIB, options=ExecOptions(trace=True)
             )
 
     def test_session_rejects_tracing_for_process_executor(self):
         session = QuerySession(BIB)
         with pytest.raises(ReproError, match="pickle boundary"):
-            session.run_batch([ALL_BOOKS], executor="process", trace=True)
+            session.run_batch(
+                [ALL_BOOKS],
+                executor="process",
+                options=replace(session.defaults, trace=True),
+            )
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -226,7 +231,7 @@ class TestTaskSpecs:
             position=0,
             query=ALL_BOOKS,
             sources=serialize_sources(BIB),
-            budget=QueryBudget(max_bindings=1),
+            options=ExecOptions(budget=QueryBudget(max_bindings=1)),
         )
         outcome = _evaluate_shard_task(task)
         assert outcome.result is None
@@ -261,13 +266,36 @@ class TestProcessExecution:
                 "query { b as X } construct { out { collect X } }",
             ],
             executor="process",
-            budget=QueryBudget(max_bindings=10),
+            options=replace(session.defaults, budget=QueryBudget(max_bindings=10)),
         )
         assert rows[0].error is None
         assert len(rows[0].result.root.find_all("a")) == 3
         assert isinstance(rows[1].error, BudgetExceeded)
         assert rows[1].error.limit == "max_bindings"
         assert rows[1].result is None
+
+    def test_budget_survives_a_live_cancel_token(self):
+        # A live (untriggered) token must not displace the options' budget
+        # in the worker: the row still trips max_bindings.
+        rows = ShardedExecutor(max_workers=1).run_batch(
+            [ALL_BOOKS],
+            BIB,
+            options=ExecOptions(budget=QueryBudget(max_bindings=1)),
+            cancel=CancelToken(),
+        )
+        assert rows[0].result is None
+        assert rows[0].error[0] == "BudgetExceeded"
+
+    def test_map_corpus_budget_survives_a_live_cancel_token(self):
+        run = ShardedExecutor(max_workers=1).map_corpus(
+            ALL_BOOKS,
+            {"bib": BIB},
+            options=ExecOptions(budget=QueryBudget(max_bindings=1)),
+            cancel=CancelToken(),
+        )
+        assert isinstance(run.errors[0], BudgetExceeded)
+        assert run.errors[0].limit == "max_bindings"
+        assert run.results[0] is None
 
     def test_cancellation_fans_out_to_every_row(self):
         cancel = CancelToken()
@@ -321,7 +349,10 @@ class TestProcessExecution:
             "big": parse_document("<bib>" + "<book/>" * 40 + "</bib>"),
         }
         run = ShardedExecutor(max_workers=2).map_corpus(
-            ALL_BOOKS, corpus, shards=2, budget=QueryBudget(max_bindings=5)
+            ALL_BOOKS,
+            corpus,
+            shards=2,
+            options=ExecOptions(budget=QueryBudget(max_bindings=5)),
         )
         assert run.errors[0] is None
         assert isinstance(run.errors[1], BudgetExceeded)

@@ -13,8 +13,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.options import MatchOptions
 from repro.engine.stats import EvalStats
-from repro.xmlgl.matcher import MatchOptions, match
+from repro.xmlgl.matcher import match
 
 from .test_matcher_equivalence import (
     binding_multiset,

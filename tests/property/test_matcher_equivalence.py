@@ -22,6 +22,7 @@ import pytest
 
 from repro.engine.bindings import value_key
 from repro.engine.conditions import AttributeOf, Comparison, Const
+from repro.engine.options import MatchOptions
 from repro.ssd.model import Document, Element
 from repro.xmlgl.ast import (
     AttributePattern,
@@ -31,7 +32,7 @@ from repro.xmlgl.ast import (
     QueryGraph,
     TextPattern,
 )
-from repro.xmlgl.matcher import MatchOptions, match
+from repro.xmlgl.matcher import match
 
 TAGS = ["a", "b", "c", "d"]
 ATTRS = ["k", "m"]

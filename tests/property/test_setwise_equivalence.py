@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import EvalStats
+from repro.engine.options import MatchOptions
 from repro.graph import (
     LabeledGraph,
     MatchSpec,
@@ -28,7 +29,6 @@ from repro.graph import (
     find_homomorphisms_setwise,
 )
 from repro.wglog import InstanceGraph, embeddings, parse_rule
-from repro.xmlgl.matcher import MatchOptions
 
 # -- graph level -----------------------------------------------------------------
 

@@ -5,6 +5,8 @@ its own :attr:`BatchResult.error` — sibling rows and the shared index
 cache must be completely unaffected.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine.cache import DocumentIndexCache
@@ -21,13 +23,18 @@ def session(doc):
     return QuerySession(doc, indexes=DocumentIndexCache())
 
 
+def capped(session, budget):
+    """The session defaults with ``budget`` for one call."""
+    return replace(session.defaults, budget=budget)
+
+
 class TestBudgetErrorRows:
     def test_tripped_rows_are_typed_and_isolated(self, session):
         # ONE_BINDING_RULE produces one binding; CHAIN_RULE produces one per
         # book — the cap splits them deterministically.
         results = session.run_batch(
             [ONE_BINDING_RULE, CHAIN_RULE, ONE_BINDING_RULE],
-            budget=QueryBudget(max_bindings=5),
+            options=capped(session, QueryBudget(max_bindings=5)),
         )
         ok_rows = [r for r in results if r.ok]
         failed = [r for r in results if not r.ok]
@@ -48,7 +55,8 @@ class TestBudgetErrorRows:
 
     def test_failed_row_does_not_poison_the_shared_cache(self, session):
         first = session.run_batch(
-            [CHAIN_RULE, ONE_BINDING_RULE], budget=QueryBudget(max_bindings=5)
+            [CHAIN_RULE, ONE_BINDING_RULE],
+            options=capped(session, QueryBudget(max_bindings=5)),
         )
         assert not first[0].ok and first[1].ok
         # The cache was pre-warmed and survives the failed row: a rerun
@@ -65,7 +73,9 @@ class TestBudgetErrorRows:
     def test_partial_mode_rows_return_truncated_results(self, session):
         results = session.run_batch(
             [CHAIN_RULE],
-            budget=QueryBudget(max_bindings=5, on_limit="partial"),
+            options=capped(
+                session, QueryBudget(max_bindings=5, on_limit="partial")
+            ),
         )
         (row,) = results
         assert row.ok
@@ -80,7 +90,7 @@ class TestCancellation:
         cancel.cancel()
         results = session.run_batch(
             [CHAIN_RULE, ONE_BINDING_RULE],
-            budget=QueryBudget(deadline_ms=60_000),
+            options=capped(session, QueryBudget(deadline_ms=60_000)),
             cancel=cancel,
         )
         assert all(not r.ok for r in results)
@@ -100,7 +110,7 @@ class TestCancellation:
         try:
             results = session.run_batch(
                 [join_rule] * 4,
-                budget=QueryBudget(deadline_ms=60_000),
+                options=capped(session, QueryBudget(deadline_ms=60_000)),
                 cancel=cancel,
             )
         finally:

@@ -10,11 +10,13 @@ The contract under test (DESIGN.md § Resource governance):
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.engine.cache import DocumentIndexCache
 from repro.engine.limits import QueryBudget, arm_budget, truncate_element
+from repro.engine.options import ExecOptions
 from repro.engine.stats import EvalStats
 from repro.errors import BudgetExceeded, DeadlineExceeded
 from repro.ssd.model import Element
@@ -22,6 +24,11 @@ from repro.xmlgl.dsl import parse_rule
 from repro.xmlgl.evaluator import evaluate_rule, rule_bindings
 
 from .conftest import CHAIN_RULE, JOIN_RULE
+
+
+def budgeted(**limits):
+    """Default options governed by ``QueryBudget(**limits)``."""
+    return ExecOptions(budget=QueryBudget(**limits))
 
 
 class TestBudgetValidation:
@@ -35,7 +42,7 @@ class TestBudgetValidation:
 
     def test_empty_budget_is_legal(self, doc, indexes):
         rule = parse_rule(CHAIN_RULE)
-        result = evaluate_rule(rule, doc, budget=QueryBudget(), indexes=indexes)
+        result = evaluate_rule(rule, doc, options=budgeted(), indexes=indexes)
         assert result.size() > 1
 
 
@@ -46,7 +53,7 @@ class TestDeadline:
         started = time.perf_counter()
         with pytest.raises(DeadlineExceeded) as info:
             evaluate_rule(
-                rule, big_doc, budget=QueryBudget(deadline_ms=25),
+                rule, big_doc, options=budgeted(deadline_ms=25),
                 stats=stats, indexes=indexes,
             )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -70,7 +77,7 @@ class TestWorkCap:
         rule = parse_rule(JOIN_RULE)
         with pytest.raises(BudgetExceeded) as info:
             evaluate_rule(
-                rule, doc, budget=QueryBudget(max_work=100), indexes=indexes
+                rule, doc, options=budgeted(max_work=100), indexes=indexes
             )
         exc = info.value
         assert exc.limit == "max_work"
@@ -83,7 +90,7 @@ class TestBindingsCap:
         rule = parse_rule(CHAIN_RULE)
         with pytest.raises(BudgetExceeded) as info:
             rule_bindings(
-                rule, doc, budget=QueryBudget(max_bindings=10), indexes=indexes
+                rule, doc, options=budgeted(max_bindings=10), indexes=indexes
             )
         assert info.value.limit == "max_bindings"
 
@@ -94,7 +101,7 @@ class TestBindingsCap:
         stats = EvalStats()
         partial = rule_bindings(
             rule, doc,
-            budget=QueryBudget(max_bindings=10, on_limit="partial"),
+            options=budgeted(max_bindings=10, on_limit="partial"),
             stats=stats, indexes=indexes,
         )
         assert len(partial) == 10
@@ -108,7 +115,7 @@ class TestResultNodesCap:
         rule = parse_rule(CHAIN_RULE)
         with pytest.raises(BudgetExceeded) as info:
             evaluate_rule(
-                rule, doc, budget=QueryBudget(max_result_nodes=5),
+                rule, doc, options=budgeted(max_result_nodes=5),
                 indexes=indexes,
             )
         assert info.value.limit == "max_result_nodes"
@@ -120,7 +127,7 @@ class TestResultNodesCap:
         stats = EvalStats()
         result = evaluate_rule(
             rule, doc,
-            budget=QueryBudget(max_result_nodes=20, on_limit="partial"),
+            options=budgeted(max_result_nodes=20, on_limit="partial"),
             stats=stats, indexes=indexes,
         )
         assert result.size() <= 20
@@ -135,7 +142,7 @@ class TestDegradation:
         baseline = rule_bindings(rule, doc, indexes=indexes)
         stats = EvalStats()
         degraded = rule_bindings(
-            rule, doc, budget=QueryBudget(max_hashjoin_rows=20),
+            rule, doc, options=budgeted(max_hashjoin_rows=20),
             stats=stats, indexes=indexes,
         )
         assert stats.extra.get("degraded_fragments", 0) >= 1
@@ -158,7 +165,7 @@ class TestDegradation:
         baseline = rule_bindings(rule, doc, indexes=indexes)
         stats = EvalStats()
         degraded = rule_bindings(
-            rule, doc, budget=QueryBudget(max_hashjoin_rows=10),
+            rule, doc, options=budgeted(max_hashjoin_rows=10),
             stats=stats, indexes=indexes,
         )
         assert stats.extra.get("degraded_fragments", 0) >= 1
@@ -212,8 +219,8 @@ class TestDegradation:
         baseline = query(rule, instance, options=options)
         stats = EvalStats()
         degraded = query(
-            rule, instance, options=options, stats=stats,
-            budget=QueryBudget(max_hashjoin_rows=20),
+            rule, instance, stats=stats,
+            options=replace(options, budget=QueryBudget(max_hashjoin_rows=20)),
         )
         assert stats.extra.get("fallback_budget", 0) >= 1
         assert stats.extra.get("degraded_fragments", 0) >= 1
@@ -233,7 +240,7 @@ class TestZeroOverhead:
         generous = EvalStats()
         evaluate_rule(
             rule, doc,
-            budget=QueryBudget(
+            options=budgeted(
                 deadline_ms=3_600_000, max_work=10**12,
                 max_bindings=10**9, max_result_nodes=10**9,
                 max_hashjoin_rows=10**12,

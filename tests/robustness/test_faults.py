@@ -11,6 +11,7 @@ import pytest
 from repro.engine import trace as trace_module
 from repro.engine.faults import FaultInjector, FaultRule, inject
 from repro.engine.limits import QueryBudget
+from repro.engine.options import ExecOptions
 from repro.engine.stats import EvalStats
 from repro.errors import DeadlineExceeded, EvaluationError
 from repro.xmlgl.dsl import parse_rule
@@ -81,7 +82,7 @@ class TestFaultsMeetBudgets:
             with pytest.raises(DeadlineExceeded):
                 evaluate_rule(
                     parse_rule(CHAIN_RULE), doc,
-                    budget=QueryBudget(deadline_ms=20),
+                    options=ExecOptions(budget=QueryBudget(deadline_ms=20)),
                     stats=stats, indexes=indexes,
                 )
         assert stats.extra.get("budget_exceeded") == 1
@@ -95,7 +96,9 @@ class TestFaultsMeetBudgets:
         with inject(FaultInjector(seed=0, rules=[slow])):
             result = evaluate_rule(
                 parse_rule(CHAIN_RULE), doc,
-                budget=QueryBudget(deadline_ms=20, on_limit="partial"),
+                options=ExecOptions(
+                    budget=QueryBudget(deadline_ms=20, on_limit="partial")
+                ),
                 stats=stats, indexes=indexes,
             )
         assert stats.extra["truncated"] == 1

@@ -1,9 +1,11 @@
 """Tests for the interactive query session (BBQ-style cycles)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ReproError
-from repro.session import QuerySession
+from repro.session import ExecOptions, QuerySession
 from repro.ssd import parse_document
 from repro.xmlgl import QueryBuilder, Rule, collect, elem
 
@@ -190,7 +192,7 @@ class TestObservability:
         from repro.engine.plan_cache import PlanCache
 
         session = QuerySession(DOC, plans=PlanCache())
-        session.run(ALL, trace=True)
+        session.run(ALL, options=replace(session.defaults, trace=True))
         trace = session.current().trace
         assert trace is not None
         # cold run: string queries record parsing and plan compilation
@@ -205,12 +207,11 @@ class TestObservability:
             assert trace.find(required), required
 
     def test_options_trace_flag_is_the_default(self):
-        from repro.xmlgl.matcher import MatchOptions
-
-        session = QuerySession(DOC, options=MatchOptions(trace=True))
+        session = QuerySession(DOC, options=ExecOptions(trace=True))
         session.run(ALL)
         assert session.current().trace is not None
-        session.run(ALL, trace=False)  # per-run override wins
+        # per-run override wins
+        session.run(ALL, options=replace(session.defaults, trace=False))
         assert session.current().trace is None
 
     def test_rule_objects_skip_parse_span(self):
@@ -218,11 +219,13 @@ class TestObservability:
         q.box("book", id="B")
         rule = Rule([q.graph()], elem("r", collect("B")))
         session = QuerySession(DOC)
-        session.run(rule, trace=True)
+        session.run(rule, options=ExecOptions(trace=True))
         assert not session.current().trace.find("parse")
 
     def test_batch_rows_get_private_traces(self):
-        results = QuerySession(DOC).run_batch([ALL, COUNT], trace=True)
+        results = QuerySession(DOC).run_batch(
+            [ALL, COUNT], options=ExecOptions(trace=True)
+        )
         assert all(r.trace is not None for r in results)
         assert results[0].trace is not results[1].trace
         assert results[0].trace.find("match")
@@ -304,19 +307,19 @@ class TestSessionMetrics:
 class TestErrorPathMetrics:
     """Failed runs must fold into the registry exactly like batch rows."""
 
-    def make_budget(self):
+    def budgeted(self, session):
         from repro.engine.limits import QueryBudget
 
-        return QueryBudget(max_work=1)
+        return replace(session.defaults, budget=QueryBudget(max_work=1))
 
     def test_budget_tripped_run_matches_batch_row_totals(self):
         from repro.errors import BudgetExceeded
 
         direct = QuerySession(DOC)
         with pytest.raises(BudgetExceeded):
-            direct.run(ALL, budget=self.make_budget())
+            direct.run(ALL, options=self.budgeted(direct))
         batch = QuerySession(DOC)
-        rows = batch.run_batch([ALL], budget=self.make_budget())
+        rows = batch.run_batch([ALL], options=self.budgeted(batch))
         assert rows[0].error is not None
         a, b = direct.metrics().snapshot(), batch.metrics().snapshot()
         assert a["queries"] == b["queries"] == 1
@@ -350,7 +353,7 @@ class TestErrorPathMetrics:
 
     def test_execute_captures_error_and_records(self):
         session = QuerySession(DOC)
-        row = session.execute(ALL, budget=self.make_budget())
+        row = session.execute(ALL, options=self.budgeted(session))
         assert row.error is not None and row.result is None
         assert len(session) == 0  # never enters the cycle history
         snap = session.metrics().snapshot()
@@ -358,13 +361,13 @@ class TestErrorPathMetrics:
 
 
 class TestExplicitNoneOverrides:
-    """Explicit ``None`` disables a session default; omitted defers to it."""
+    """A per-call ``budget=None`` / ``trace=False`` bundle disables a
+    session default; omitting ``options`` defers to it."""
 
     def budgeted_options(self):
         from repro.engine.limits import QueryBudget
-        from repro.xmlgl.matcher import MatchOptions
 
-        return MatchOptions(budget=QueryBudget(max_work=1))
+        return ExecOptions(budget=QueryBudget(max_work=1))
 
     def test_omitted_budget_uses_session_default(self):
         from repro.errors import BudgetExceeded
@@ -375,7 +378,7 @@ class TestExplicitNoneOverrides:
 
     def test_explicit_none_budget_disables_session_default(self):
         session = QuerySession(DOC, options=self.budgeted_options())
-        result = session.run(ALL, budget=None)
+        result = session.run(ALL, options=replace(session.defaults, budget=None))
         assert len(result.root.find_all("book")) == 2
 
     def test_explicit_budget_overrides_session_default(self):
@@ -384,13 +387,14 @@ class TestExplicitNoneOverrides:
 
         session = QuerySession(DOC)  # no session budget at all
         with pytest.raises(BudgetExceeded):
-            session.run(ALL, budget=QueryBudget(max_work=1))
+            session.run(
+                ALL,
+                options=replace(session.defaults, budget=QueryBudget(max_work=1)),
+            )
 
     def test_explicit_none_trace_disables_session_default(self):
-        from repro.xmlgl.matcher import MatchOptions
-
-        session = QuerySession(DOC, options=MatchOptions(trace=True))
-        session.run(ALL, trace=None)
+        session = QuerySession(DOC, options=ExecOptions(trace=True))
+        session.run(ALL, options=replace(session.defaults, trace=False))
         assert session.current().trace is None
         assert session.current().stats.trace is None
 
@@ -398,15 +402,16 @@ class TestExplicitNoneOverrides:
         session = QuerySession(DOC, options=self.budgeted_options())
         tripped = session.run_batch([ALL])
         assert tripped[0].error is not None
-        unbudgeted = session.run_batch([ALL], budget=None)
+        unbudgeted = session.run_batch(
+            [ALL], options=replace(session.defaults, budget=None)
+        )
         assert unbudgeted[0].ok
 
     def test_batch_explicit_none_trace_disables_session_default(self):
-        from repro.xmlgl.matcher import MatchOptions
-
-        session = QuerySession(DOC, options=MatchOptions(trace=True))
+        session = QuerySession(DOC, options=ExecOptions(trace=True))
         assert session.run_batch([ALL])[0].trace is not None
-        assert session.run_batch([ALL], trace=None)[0].trace is None
+        untraced = replace(session.defaults, trace=False)
+        assert session.run_batch([ALL], options=untraced)[0].trace is None
 
 
 class TestProcessOutcomeAlignment:
@@ -446,7 +451,7 @@ class TestProcessOutcomeAlignment:
 
 
 class TestExecOptions:
-    """The consolidated ExecOptions contract and its deprecated shims."""
+    """The one ExecOptions contract."""
 
     def test_defaults_always_concrete(self):
         from repro.session import ExecOptions
@@ -472,7 +477,7 @@ class TestExecOptions:
     def test_derive_one_field_with_replace(self):
         from dataclasses import replace
 
-        session = QuerySession(DOC, options=None)
+        session = QuerySession(DOC)
         session.run(ALL, options=replace(session.defaults, trace=True))
         assert session.current().trace is not None
 
@@ -487,42 +492,11 @@ class TestExecOptions:
                 ALL, options=ExecOptions(budget=QueryBudget(max_work=1))
             )
 
-    def test_match_options_round_trip(self):
-        from repro.session import ExecOptions
-        from repro.xmlgl.matcher import MatchOptions
-
-        bundle = ExecOptions(engine="backtracking", rewrite=False, trace=True)
-        lifted = ExecOptions.from_match_options(bundle.match_options())
-        assert lifted == bundle
-        assert isinstance(bundle.match_options(), MatchOptions)
-
     def test_bundle_is_frozen(self):
         from repro.session import ExecOptions
 
         with pytest.raises(Exception):
             ExecOptions().trace = True
-
-    def test_match_options_per_call_warns(self):
-        from repro.xmlgl.matcher import MatchOptions
-
-        session = QuerySession(DOC)
-        with pytest.warns(DeprecationWarning, match="ExecOptions"):
-            session.run(ALL, options=MatchOptions())
-
-    def test_trace_keyword_warns_but_works(self):
-        session = QuerySession(DOC)
-        with pytest.warns(DeprecationWarning, match="trace="):
-            session.run(ALL, trace=True)
-        assert session.current().trace is not None
-
-    def test_budget_keyword_warns_but_works(self):
-        from repro.engine.limits import QueryBudget
-        from repro.errors import BudgetExceeded
-
-        session = QuerySession(DOC)
-        with pytest.warns(DeprecationWarning, match="budget="):
-            with pytest.raises(BudgetExceeded):
-                session.run(ALL, budget=QueryBudget(max_work=1))
 
     def test_execute_and_run_batch_take_the_bundle(self):
         from repro.session import ExecOptions
@@ -536,19 +510,11 @@ class TestExecOptions:
     def test_session_constructor_lifts_match_options_silently(self):
         import warnings as warnings_mod
 
+        from repro import MatchOptions
         from repro.session import ExecOptions
-        from repro.xmlgl.matcher import MatchOptions
 
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error", DeprecationWarning)
             session = QuerySession(DOC, options=MatchOptions(engine="pipeline"))
         assert isinstance(session.defaults, ExecOptions)
         assert session.defaults.engine == "pipeline"
-
-    def test_subscribe_with_match_options_warns(self):
-        from repro.xmlgl.matcher import MatchOptions
-
-        session = QuerySession(parse_document('<bib><book/></bib>'))
-        with pytest.warns(DeprecationWarning, match="ExecOptions"):
-            subscription = session.subscribe(COUNT, options=MatchOptions())
-        assert len(subscription.rows()) == 1

@@ -215,13 +215,13 @@ class TestRewriteSteps:
         assert set(rewritten.queries[0].nodes) == {"R", "P"}
 
     def test_step9_no_rewrite_escape_hatch(self):
-        from repro import MatchOptions
+        from repro import ExecOptions
         from repro.explain import explain
 
         report = parse_document("<report><para>x</para></report>")
         rule = parse_rule(self.SOURCE)
         on = explain(rule, report)
-        off = explain(rule, report, options=MatchOptions(rewrite=False))
+        off = explain(rule, report, options=ExecOptions(rewrite=False))
         assert on.rewrites == "merged=1 pruned=1 dropped=1"
         assert off.rewrites == "off"
         assert "rewrites:" in on.render_text()

@@ -6,7 +6,7 @@ from repro.errors import EvaluationError, QueryStructureError
 from repro.ssd import parse_document
 from repro.ssd.model import Document
 from repro.xmlgl import (
-    MatchOptions,
+    ExecOptions,
     QueryBuilder,
     Rule,
     attr,
@@ -190,7 +190,7 @@ class TestOptionsEdgeCases:
         q = QueryBuilder()
         q.box(None, id="X")
         stats = EvalStats()
-        match(q.graph(), small, options=MatchOptions(), stats=stats)
+        match(q.graph(), small, options=ExecOptions(), stats=stats)
         assert stats.full_scans == 1
 
     def test_index_reused_across_calls(self, small):
@@ -231,7 +231,7 @@ class TestAttributeIndexedCandidates:
         q.attribute(box, "k", id="K")
         indexed = match(q.graph(), doc)
         unindexed = match(
-            q.graph(), doc, options=MatchOptions(engine="naive")
+            q.graph(), doc, options=ExecOptions(engine="naive")
         )
         assert {b["K"] for b in indexed} == {b["K"] for b in unindexed} == {"1", "2"}
 
