@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 from . import errors
 from .session import BatchResult, QueryCycle, QuerySession

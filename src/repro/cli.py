@@ -25,6 +25,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from .engine.options import ENGINES, ExecOptions
 from .errors import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -133,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--engine",
-        choices=("adaptive", "pipeline", "backtracking", "naive"),
-        default=None,
-        help="force an evaluation engine (default: adaptive cost-based)",
+        choices=ENGINES,
+        default=ExecOptions().engine,
+        help="evaluation engine (default: %(default)s)",
     )
     explain.add_argument(
         "--no-rewrite", action="store_true",
@@ -347,7 +348,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     import time
 
     from .engine.limits import QueryBudget
-    from .engine.options import ExecOptions
     from .engine.metrics import global_registry
     from .engine.stats import EvalStats
     from .engine.trace import Tracer
@@ -367,6 +367,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             max_work=args.max_work,
             on_limit=args.on_limit,
         )
+    options = ExecOptions(
+        rewrite=not args.no_rewrite, trace=bool(args.trace), budget=budget
+    )
     if args.explain:
         from .explain import explain
 
@@ -376,10 +379,15 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                 f"{len(program.rules)} rules",
                 file=sys.stderr,
             )
-        report = explain(
-            program.rules[0], sources if sources else None,
-            options=ExecOptions(rewrite=not args.no_rewrite),
-        )
+        try:
+            report = explain(
+                program.rules[0], sources if sources else None, options=options
+            )
+        except (BudgetExceeded, QueryCancelled) as error:
+            print(f"error: {error}", file=sys.stderr)
+            if args.metrics:
+                print(global_registry.to_json(), file=sys.stderr)
+            return 4
         print(report.render(args.format), file=out)
         if args.metrics:
             print(global_registry.to_json(), file=sys.stderr)
@@ -387,9 +395,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     if not sources:
         print("no input document given", file=sys.stderr)
         return 2
-    options = ExecOptions(
-        rewrite=not args.no_rewrite, trace=bool(args.trace), budget=budget
-    )
     if args.workers and args.workers > 1:
         return _run_sharded(args, program, sources, options, out)
     stats = EvalStats()
@@ -491,7 +496,6 @@ def _run_sharded(args: argparse.Namespace, program, sources, options, out) -> in
 
 
 def _cmd_explain(args: argparse.Namespace, out) -> int:
-    from .engine.options import ExecOptions
     from .explain import explain
     from .xmlgl.dsl import parse_program
 
@@ -504,10 +508,7 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
             f"# note: explaining the first of {len(program.rules)} rules",
             file=sys.stderr,
         )
-    options = ExecOptions(
-        engine=args.engine if args.engine is not None else "adaptive",
-        rewrite=not args.no_rewrite,
-    )
+    options = ExecOptions(engine=args.engine, rewrite=not args.no_rewrite)
     report = explain(
         program.rules[0], sources if sources else None, options=options
     )

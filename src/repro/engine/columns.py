@@ -1,10 +1,11 @@
-"""Columnar kernels over sorted ``pre``-id arrays.
+"""Columnar kernels over sorted ``pre``-label arrays.
 
 The set-at-a-time pipeline keeps candidate pools and edge relations as
-**columns**: flat sorted ``array('i')`` vectors of dense int ids.  For
-documents the ids are the interval index's ``pre`` numbers, and the
-index's ``pre -> element`` side table defers object materialisation to
-hash-join assembly; every semi-join before that is integer work.
+**columns**: flat sorted vectors of unique int ids.  For documents the ids
+are the interval index's gap ``pre`` labels — the same labels every other
+index lookup speaks — and the index's ``pre -> element`` side table defers
+object materialisation to hash-join assembly; every semi-join before that
+is integer work.
 
 This module holds the int-only kernels that representation enables:
 
@@ -14,29 +15,26 @@ This module holds the int-only kernels that representation enables:
   ancestor/descendant arc between two pools, answered per parent by two
   binary searches over the child pre column against the parent's
   ``(pre, post]`` interval;
-* :func:`direct_pairs` — a parent/child arc, answered per child by one
-  lookup in the ``parent_pre`` column and a membership probe into the
-  parent pool.
+* :func:`direct_pairs` — a parent/child arc, answered per child by
+  comparing its parent label with a membership probe into the parent pool.
 
-Every kernel has a pure-Python ``array('i')`` implementation and an
-optional numpy fast path behind a feature probe: numpy is **not** a
-dependency — when it is importable (and ``REPRO_COLUMNS`` is not
-``python``) large inputs take the vectorised route, otherwise everything
-runs on :mod:`array` + :mod:`bisect`.  Both paths produce identical
-output; ``REPRO_COLUMNS=python`` / ``REPRO_COLUMNS=numpy`` pin the
-backend for differential testing.
+The kernels never index a column by an id, so ids need not be dense:
+per-id attributes (``post``, parent) come in as columns *aligned* with the
+pool they describe.  Every kernel has a pure-Python ``array('i')``
+implementation and an optional numpy fast path behind a feature probe:
+numpy is **not** a dependency — when it is importable, inputs of at least
+``_NUMPY_MIN`` items take the vectorised route, otherwise everything runs
+on :mod:`array` + :mod:`bisect`.  Both paths produce identical output.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "HAVE_NUMPY",
-    "backend",
     "column",
     "containment_count",
     "containment_pairs",
@@ -54,24 +52,12 @@ except Exception:  # pragma: no cover - exercised only without numpy
 #: Whether the numpy fast path is available in this process.
 HAVE_NUMPY = _np is not None
 
-#: Backend pin: ``auto`` (default), ``python``, or ``numpy``.
-_FORCED = os.environ.get("REPRO_COLUMNS", "auto").strip().lower()
-
 #: Below this input size the numpy call overhead beats the win.
 _NUMPY_MIN = 256
 
 
-def backend() -> str:
-    """The backend large kernels will use: ``"numpy"`` or ``"python"``."""
-    if _FORCED == "python" or _np is None:
-        return "python"
-    return "numpy"
-
-
 def _use_numpy(size: int) -> bool:
-    if _np is None or _FORCED == "python":
-        return False
-    return _FORCED == "numpy" or size >= _NUMPY_MIN
+    return _np is not None and size >= _NUMPY_MIN
 
 
 def _as_np(col: Sequence[int]):
@@ -128,7 +114,7 @@ def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> array:
 
 def containment_count(
     parent_pres: Sequence[int],
-    posts: Sequence[int],
+    parent_posts: Sequence[int],
     child_pres: Sequence[int],
 ) -> int:
     """Number of pairs :func:`containment_pairs` would materialise."""
@@ -136,33 +122,32 @@ def containment_count(
         return 0
     if _use_numpy(len(parent_pres) + len(child_pres)):
         np_child = _as_np(child_pres)
-        np_parent = _as_np(parent_pres)
-        np_posts = _as_np(posts)
-        los = _np.searchsorted(np_child, np_parent, side="right")
-        his = _np.searchsorted(np_child, np_posts[np_parent], side="right")
+        los = _np.searchsorted(np_child, _as_np(parent_pres), side="right")
+        his = _np.searchsorted(np_child, _as_np(parent_posts), side="right")
         return int((his - los).sum())
     total = 0
     hi_bound = len(child_pres)
-    for pre in parent_pres:
+    for pre, post in zip(parent_pres, parent_posts):
         lo = bisect_right(child_pres, pre)
         if lo >= hi_bound:
             continue
-        total += bisect_right(child_pres, posts[pre], lo) - lo
+        total += bisect_right(child_pres, post, lo) - lo
     return total
 
 
 def containment_pairs(
     parent_pres: Sequence[int],
-    posts: Sequence[int],
+    parent_posts: Sequence[int],
     child_pres: Sequence[int],
 ) -> tuple[array, array]:
     """All ``(ancestor pre, descendant pre)`` pairs between two pools.
 
-    ``parent_pres`` and ``child_pres`` must be sorted ascending; ``posts``
-    is the full ``pre -> post`` column of the index.  A child ``c`` is a
-    proper descendant of parent ``p`` iff ``p < c <= post[p]``, so each
-    parent contributes one contiguous bisect range of the child column.
-    Output is sorted lexicographically by ``(parent, child)``.
+    ``parent_pres`` and ``child_pres`` must be sorted ascending;
+    ``parent_posts[i]`` is the ``post`` label of ``parent_pres[i]``.  A
+    child ``c`` is a proper descendant of parent ``p`` iff
+    ``p < c <= post(p)``, so each parent contributes one contiguous bisect
+    range of the child column.  Output is sorted lexicographically by
+    ``(parent, child)``.
     """
     left = array("i")
     right = array("i")
@@ -171,9 +156,8 @@ def containment_pairs(
     if _use_numpy(len(parent_pres) + len(child_pres)):
         np_child = _as_np(child_pres)
         np_parent = _as_np(parent_pres)
-        np_posts = _as_np(posts)
         los = _np.searchsorted(np_child, np_parent, side="right")
-        his = _np.searchsorted(np_child, np_posts[np_parent], side="right")
+        his = _np.searchsorted(np_child, _as_np(parent_posts), side="right")
         counts = his - los
         total = int(counts.sum())
         if total == 0:
@@ -189,11 +173,11 @@ def containment_pairs(
             _from_np(np_child[los[reps] + offsets]),
         )
     hi_bound = len(child_pres)
-    for pre in parent_pres:
+    for pre, post in zip(parent_pres, parent_posts):
         lo = bisect_right(child_pres, pre)
         if lo >= hi_bound:
             continue
-        hi = bisect_right(child_pres, posts[pre], lo)
+        hi = bisect_right(child_pres, post, lo)
         if hi > lo:
             left.extend(array("i", [pre]) * (hi - lo))
             right.extend(child_pres[lo:hi])
@@ -202,13 +186,13 @@ def containment_pairs(
 
 def direct_pairs(
     parent_pres: Sequence[int],
-    parent_pre_column: Sequence[int],
+    child_parents: Sequence[int],
     child_pres: Sequence[int],
 ) -> tuple[array, array]:
     """All ``(parent pre, child pre)`` pairs joined by the parent pointer.
 
-    ``parent_pre_column`` is the full ``pre -> parent's pre`` column
-    (``-1`` at the root).  Each child costs one column read plus one
+    ``child_parents[i]`` is the parent's ``pre`` label of
+    ``child_pres[i]`` (``-1`` at the root).  Each child costs one
     membership probe into the sorted parent pool.  Output is sorted by
     child; within one parent, children ascend.
     """
@@ -218,15 +202,14 @@ def direct_pairs(
         return left, right
     if _use_numpy(len(child_pres)):
         np_child = _as_np(child_pres)
-        np_parents_of = _as_np(parent_pre_column)[np_child]
+        np_parents_of = _as_np(child_parents)
         np_pool = _as_np(parent_pres)
         idx = _np.searchsorted(np_pool, np_parents_of)
         idx_c = _np.minimum(idx, len(np_pool) - 1)
         mask = (np_parents_of >= 0) & (np_pool[idx_c] == np_parents_of)
         return _from_np(np_parents_of[mask]), _from_np(np_child[mask])
     members = set(parent_pres)
-    for pre in child_pres:
-        parent = parent_pre_column[pre]
+    for pre, parent in zip(child_pres, child_parents):
         if parent >= 0 and parent in members:
             left.append(parent)
             right.append(pre)

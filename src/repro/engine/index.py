@@ -22,34 +22,29 @@ Mutability contract
 -------------------
 Indexes are **maintained, not rebuilt**, under the typed mutation API
 (:mod:`repro.engine.mutate`): ``note_insert`` / ``note_delete`` /
-``note_set_attribute`` update the label maps, per-tag/attribute pools and
-the mutable :class:`~repro.engine.estimator.StatisticsBuilder` in
-``O(k log n + k * depth)`` for a ``k``-node edit, falling back to a full
+``note_set_attribute`` update the label maps and per-tag/attribute pools
+in ``O(k log n + depth)`` for a ``k``-node edit, falling back to a full
 relabel only when an edit point's gap is exhausted (amortized away by the
-gap spacing).  Structural edits bump :attr:`stats_epoch` so plan-cache
-keys embedding the old epoch can never serve stale plans; attribute and
-value edits do not (they move cost inputs, not plan validity).  Mutation
-is not thread-safe against concurrent readers — callers serialize
-(the server wraps the mutable head in a read/write lock).
+gap spacing).  Compiled plans read no document, so no edit invalidates
+one.  Mutation is not thread-safe against concurrent readers — callers
+serialize (the server wraps the mutable head in a read/write lock).
 
-The columnar kernels (:mod:`repro.engine.columns`) need *dense* pre ids —
-they use them as positions into flat ``array('i')`` columns — so the
-dense view (``element_table`` / ``post_column`` / ``parent_pre_column`` /
-``all_pres`` / ``tag_pres`` / ``pres_of``) is derived lazily from the gap
-labels and cached until the next structural edit.  Gap labels and dense
-ranks are two coordinate systems: ``position()`` / ``interval()`` speak
-labels, the column accessors speak ranks, and no caller may mix them.
+The columnar kernels (:mod:`repro.engine.columns`) run on the same gap
+labels: they only need sorted unique ids, never dense ones, so the column
+accessors (``element_table`` / ``all_pres`` / ``tag_pres`` / ``pres_of``
+/ ``posts_of`` / ``parents_of``) hand out the maintained label structures
+themselves or columns gathered for one pool.  There is one coordinate
+system and nothing derived to rebuild after an edit.  Columns are
+``array('i')``, which bounds a document at ``2**31 // LABEL_GAP`` elements.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional
 
 from ..ssd.model import Document, Element
-from .estimator import DocumentStatistics, StatisticsBuilder
 
 __all__ = ["DocumentIndex", "LABEL_GAP"]
 
@@ -58,86 +53,27 @@ __all__ = ["DocumentIndex", "LABEL_GAP"]
 #: edit point before a local insert must fall back to a full relabel.
 LABEL_GAP = 64
 
-#: Monotonic stamp handed to each index at construction and re-stamped on
-#: every committed *structural* mutation, so plan-cache keys embedding an
-#: old one can never serve stale plans.  ``itertools.count`` is atomic
-#: under the GIL — no lock needed.
-_STATS_EPOCHS = itertools.count(1)
-
-
-class _DenseView:
-    """Dense-rank snapshot of the gap labels for the columnar kernels.
-
-    Ranks are positions in the label-sorted order, i.e. classic dense pre
-    numbers; the columns are indexable by rank exactly like the flat
-    arrays the kernels were written against.
-    """
-
-    __slots__ = (
-        "elements",
-        "rank_of_label",
-        "rank_by_id",
-        "post_column",
-        "parent_pre_column",
-        "all_pres",
-        "tag_pres",
-    )
-
-    def __init__(
-        self,
-        order: list[int],
-        element_of: dict[int, Element],
-        post_of: dict[int, int],
-        parent_of: dict[int, int],
-    ) -> None:
-        rank = {label: position for position, label in enumerate(order)}
-        self.rank_of_label = rank
-        self.elements = [element_of[label] for label in order]
-        self.rank_by_id = {
-            id(element): position
-            for position, element in enumerate(self.elements)
-        }
-        self.post_column = array("i", (rank[post_of[label]] for label in order))
-        self.parent_pre_column = array(
-            "i",
-            (
-                rank[parent_of[label]] if parent_of[label] >= 0 else -1
-                for label in order
-            ),
-        )
-        self.all_pres = array("i", range(len(order)))
-        #: Per-tag rank columns, filled on demand.
-        self.tag_pres: dict[str, list[int]] = {}
-
-
 class DocumentIndex:
     """Label / attribute / interval index over one (mutable) document."""
 
     def __init__(self, document: Document) -> None:
         self._document = document
         self._doc_revision = 0
-        self._dense: Optional[_DenseView] = None
-        self._statistics: Optional[DocumentStatistics] = None
         self._counters = {
             "labels_assigned": 0,
             "labels_removed": 0,
             "relabels": 0,
             "relabel_labels": 0,
-            "stats_nodes": 0,
-            "dense_rebuilds": 0,
             "structural_ops": 0,
             "attribute_ops": 0,
             "value_ops": 0,
         }
-        elements, parent_pre, depths = self._assign_labels()
-        self._stats = StatisticsBuilder.collect(elements, parent_pre, depths)
-        self._stats_epoch = next(_STATS_EPOCHS)
+        self._assign_labels()
 
-    def _assign_labels(self) -> tuple[list[Element], list[int], list[int]]:
+    def _assign_labels(self) -> None:
         """(Re)derive every label structure from the current tree.
 
-        Labels come out ``dense_pre * LABEL_GAP``.  Returns the dense
-        pre-order temporaries for the statistics collector.
+        Labels come out ``dense_pre * LABEL_GAP``.
         """
         elements: list[Element] = []
         parent_pre: list[int] = []
@@ -168,7 +104,7 @@ class DocumentIndex:
         post_of: dict[int, int] = {}
         parent_of: dict[int, int] = {}
         depth_of: dict[int, int] = {}
-        order: list[int] = []
+        order = array("i")
         tag_labels: dict[str, list[int]] = {}
         tag_elements: dict[str, list[Element]] = {}
         attr_labels: dict[str, list[int]] = {}
@@ -201,23 +137,12 @@ class DocumentIndex:
         self._tag_tuples: dict[str, tuple[Element, ...]] = {}
         self._attr_tuples: dict[str, tuple[Element, ...]] = {}
         self._element_count = count
-        self._dense = None
-        return elements, parent_pre, depths
 
     def _relabel(self) -> None:
-        """Full fallback relabel (gap exhausted); statistics untouched."""
+        """Full fallback relabel (gap exhausted)."""
         self._counters["relabels"] += 1
         self._assign_labels()
         self._counters["relabel_labels"] += self._element_count
-
-    def _dense_view(self) -> _DenseView:
-        view = self._dense
-        if view is None:
-            view = self._dense = _DenseView(
-                self._order, self._element_of, self._post_of, self._parent_of
-            )
-            self._counters["dense_rebuilds"] += 1
-        return view
 
     # -- lookups ------------------------------------------------------------
 
@@ -254,8 +179,8 @@ class DocumentIndex:
     def position(self, element: Element) -> int:
         """Document-order ``pre`` label of ``element``.
 
-        Labels are order-comparable but *not* dense — use the column
-        accessors for anything that indexes into arrays.
+        Labels are order-comparable but *not* dense; the column accessors
+        speak the same labels.
         """
         return self._label_of[id(element)]
 
@@ -302,57 +227,37 @@ class DocumentIndex:
 
     # -- columns (repro.engine.columns kernels) -------------------------------
 
-    def element_table(self) -> list[Element]:
-        """The dense ``pre rank -> element`` side table (read-only).
+    def element_table(self) -> dict[int, Element]:
+        """The ``pre label -> element`` side table (read-only).
 
         This is what lets the set-at-a-time pipeline defer node materialisation
         to hash-join assembly: every intermediate stays an int column.
         """
-        return self._dense_view().elements
-
-    def post_column(self) -> array:
-        """``pre rank -> post rank`` as a flat int column."""
-        return self._dense_view().post_column
-
-    def parent_pre_column(self) -> array:
-        """``pre rank -> parent's pre rank`` (``-1`` at the root)."""
-        return self._dense_view().parent_pre_column
+        return self._element_of
 
     def all_pres(self) -> array:
-        """Every pre rank, ascending — the wildcard pool column (shared,
+        """Every pre label, ascending — the wildcard pool column (shared,
         read-only by convention)."""
-        return self._dense_view().all_pres
+        return self._order
 
     def tag_pres(self, tag: str) -> list[int]:
-        """Sorted pre ranks of elements with ``tag`` (shared, read-only)."""
-        view = self._dense_view()
-        cached = view.tag_pres.get(tag)
-        if cached is None:
-            rank = view.rank_of_label
-            cached = view.tag_pres[tag] = [
-                rank[label] for label in self._tag_labels.get(tag, ())
-            ]
-        return cached
+        """Sorted pre labels of elements with ``tag`` (shared, read-only)."""
+        return self._tag_labels.get(tag, [])
 
     def pres_of(self, elements: Iterable[Element]) -> array:
-        """Pre-rank column of ``elements`` (kept in the iteration order)."""
-        rank_by_id = self._dense_view().rank_by_id
-        return array("i", (rank_by_id[id(element)] for element in elements))
+        """Pre-label column of ``elements`` (kept in the iteration order)."""
+        label_of = self._label_of
+        return array("i", (label_of[id(element)] for element in elements))
 
-    # -- statistics -----------------------------------------------------------
+    def posts_of(self, pres: Iterable[int]) -> array:
+        """``post`` labels of ``pres``, aligned with them."""
+        return array("i", map(self._post_of.__getitem__, pres))
 
-    @property
-    def statistics(self) -> DocumentStatistics:
-        """Cost-model statistics (re-snapshotted lazily after mutations)."""
-        snapshot = self._statistics
-        if snapshot is None:
-            snapshot = self._statistics = self._stats.snapshot()
-        return snapshot
+    def parents_of(self, pres: Iterable[int]) -> array:
+        """Parents' pre labels of ``pres``, aligned (``-1`` at the root)."""
+        return array("i", map(self._parent_of.__getitem__, pres))
 
-    @property
-    def stats_epoch(self) -> int:
-        """Monotonic structural stamp; plan-cache keys embed it."""
-        return self._stats_epoch
+    # -- counts -------------------------------------------------------------
 
     @property
     def doc_revision(self) -> int:
@@ -407,8 +312,8 @@ class DocumentIndex:
         Called *after* the tree edit.  Labels the new nodes inside the gap
         between their document-order neighbours (full relabel only when
         the gap is exhausted), splices the per-tag/attribute pools, fixes
-        ancestor ``post`` labels in O(depth), and applies the statistics
-        delta.  Returns the subtree's node count.
+        ancestor ``post`` labels in O(depth).  Returns the subtree's node
+        count.
         """
         # Subtree walk in pre-order, tracking relative structure.
         nodes: list[tuple[Element, int]] = []
@@ -428,12 +333,6 @@ class DocumentIndex:
 
         parent_label = self._label_of[id(parent)]
         parent_depth = self._depth_of[parent_label]
-        chain = [parent.tag]
-        chain.extend(anc.tag for anc in parent.ancestors())
-        self._counters["stats_nodes"] += self._stats.add_subtree(
-            root, parent_depth, chain, len(parent.child_elements())
-        )
-        self._statistics = None
         self._counters["structural_ops"] += 1
 
         # Document-order boundary: the label just before the new subtree
@@ -480,7 +379,7 @@ class DocumentIndex:
                 slot_lists = new_attrs.setdefault(name, ([], []))
                 slot_lists[0].append(label)
                 slot_lists[1].append(element)
-        self._order[i0:i0] = labels
+        self._order[i0:i0] = array("i", labels)
         # All new labels fall inside one previously label-free interval,
         # so each pool splice is a single contiguous insertion.
         for tag, (tag_ls, tag_es) in new_tags.items():
@@ -509,7 +408,6 @@ class DocumentIndex:
             self._post_of[walk_label] = last
             walk = walk.parent  # type: ignore[assignment]
         self._element_count += k
-        self._dense = None
         return k
 
     def note_delete(self, root: Element) -> int:
@@ -528,16 +426,6 @@ class DocumentIndex:
         removed = order[i:j]
         k = len(removed)
 
-        parent_label = self._label_of[id(parent)]
-        chain = [parent.tag]
-        chain.extend(anc.tag for anc in parent.ancestors())
-        self._counters["stats_nodes"] += self._stats.remove_subtree(
-            root,
-            self._depth_of[parent_label],
-            chain,
-            len(parent.child_elements()) - 1,
-        )
-        self._statistics = None
         self._counters["structural_ops"] += 1
 
         # Ancestors whose subtree ended inside the removed range now end
@@ -588,7 +476,6 @@ class DocumentIndex:
             self._attr_tuples.pop(name, None)
         self._element_count -= k
         self._counters["labels_removed"] += k
-        self._dense = None
         return k
 
     def note_set_attribute(
@@ -596,8 +483,6 @@ class DocumentIndex:
     ) -> None:
         """Register one attribute edit (already applied to ``element``)."""
         self._counters["attribute_ops"] += 1
-        self._stats.set_attribute(name, old, new)
-        self._statistics = None
         if (old is None) == (new is None):
             return  # value-only change: pools unaffected
         label = self._label_of[id(element)]
@@ -621,8 +506,6 @@ class DocumentIndex:
         """Register a text rewrite under ``element`` (labels untouched)."""
         self._counters["value_ops"] += 1
 
-    def commit_revision(self, revision: int, structural: bool) -> None:
+    def commit_revision(self, revision: int) -> None:
         """Seal one committed mutation batch into this index."""
         self._doc_revision = revision
-        if structural:
-            self._stats_epoch = next(_STATS_EPOCHS)

@@ -3,7 +3,7 @@
 The set-at-a-time pipeline (:mod:`repro.engine.pipeline`) compiles a query
 fragment into *unary* relations (per-node candidate pools) and *binary*
 relations (candidate pairs satisfying one pattern edge).  Candidates are
-dense ints — an element's ``pre`` number for documents, a node's position
+unique ints — an element's ``pre`` label for documents, a node's position
 in insertion order for graphs — so a pool is a sorted ``array('i')``
 column and a relation a :class:`ColumnRelation` of two parallel columns;
 callers map ints back to nodes only after assembly.  This module holds

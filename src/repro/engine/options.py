@@ -8,14 +8,7 @@ takes it as ``options=`` and reads tracing and the budget from it alone:
 
 * ``engine`` — the evaluation strategy:
 
-  - ``"adaptive"`` (default): per-fragment cost-based selection.  Each
-    coverable query fragment is costed with the document's statistics
-    (:mod:`repro.engine.estimator`) and runs on whichever of the two
-    engines below is estimated cheaper
-    (:func:`repro.engine.planner.choose_fragment_engine`); the shape-based
-    *hard* fallbacks (ordered / negated / cyclic fragments) apply exactly
-    as under ``"pipeline"``.
-  - ``"pipeline"``: set-at-a-time evaluation, forced.  The query is
+  - ``"pipeline"`` (default): set-at-a-time evaluation.  The query is
     compiled into per-node candidate pools plus binary edge relations, a
     Yannakakis-style semi-join reduction removes dangling candidates over a
     cost-chosen join tree, and hash joins assemble the final binding set.
@@ -24,8 +17,8 @@ takes it as ``options=`` and reads tracing and the budget from it alone:
     fragment*, so one uncooperative corner of a query does not forfeit
     set-at-a-time evaluation for the rest.
   - ``"backtracking"``: the node-at-a-time core with interval-index
-    candidate narrowing (the PR-1 engine; differential oracle for the
-    pipeline).
+    candidate narrowing (the differential oracle for the pipeline, and
+    its per-fragment fallback).
   - ``"naive"``: backtracking with indexes disabled — full scans and
     per-candidate structural checks (the ablation baseline).
 
@@ -65,7 +58,7 @@ if TYPE_CHECKING:
 __all__ = ["ENGINES", "ExecOptions", "MatchOptions"]
 
 #: Recognised values of :attr:`ExecOptions.engine`.
-ENGINES = ("adaptive", "pipeline", "backtracking", "naive")
+ENGINES = ("pipeline", "backtracking", "naive")
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,7 @@ class ExecOptions:
     default arguments; derive a variant with :func:`dataclasses.replace`.
     """
 
-    engine: str = "adaptive"
+    engine: str = "pipeline"
     rewrite: bool = True
     use_planner: bool = True
     trace: bool = False

@@ -5,8 +5,8 @@ paper's shared sub-nodes *are* relational joins — so the pipeline works on
 that shape directly and leaves language semantics to the matchers:
 
 * a *variable* per pattern node, with a **candidate pool** (unary relation)
-  supplied by the caller as a sorted column of dense int ids — ``pre``
-  numbers from a :class:`~repro.engine.index.DocumentIndex` lookup, or
+  supplied by the caller as a sorted column of unique int ids — ``pre``
+  labels from a :class:`~repro.engine.index.DocumentIndex` lookup, or
   node positions for a data graph;
 * a :class:`~repro.engine.joins.ColumnRelation` per pattern edge holding
   the candidate **pairs** that satisfy it.

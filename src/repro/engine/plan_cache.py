@@ -5,23 +5,18 @@ classification, fragment discovery, condition pushdown — see
 :func:`repro.xmlgl.matcher.compile_graph`) are document-independent, so a
 query evaluated twice over unchanged documents repeats that analysis for
 nothing.  :class:`PlanCache` memoises the fully analysed plan, keyed by
-
-* the SHA-256 digest of the query's **canonical rewritten form**
-  (:func:`repro.analysis.rewrite.canonical_rule_text`), and
-* the tuple of **stats epochs** of the participating document indexes
-  (:attr:`repro.engine.index.DocumentIndex.stats_epoch`).
-
-A rebuilt index — after a document mutation and cache invalidation — gets
-a fresh epoch, so the old key simply never matches again: invalidation is
-structural, not evented.  Stale entries age out of the LRU.
+the SHA-256 digest of the query's **canonical rewritten form**
+(:func:`repro.analysis.rewrite.canonical_rule_text`).  A compiled plan
+reads no document, so one entry serves every source document and stays
+valid across every mutation; entries only age out of the LRU.
 
 Because computing the canonical key itself requires a parse and a rewrite
 pass, a second, much cheaper **alias map** sits in front of the entries:
-it maps the digest of the raw query *text* (plus epochs) to the canonical
-key it resolved to last time.  A warm repeat of the identical text
-resolves through the alias without parsing; a *different* text with the
-same meaning parses once, lands on the same canonical key, and then
-shares the compiled plan.  Aliases are bookkeeping, not entries: they are
+it maps the digest of the raw query *text* to the canonical key it
+resolved to last time.  A warm repeat of the identical text resolves
+through the alias without parsing; a *different* text with the same
+meaning parses once, lands on the same canonical key, and then shares
+the compiled plan.  Aliases are bookkeeping, not entries: they are
 excluded from ``len()``/``stats()``/hit/miss counters and bounded
 separately (a stale alias merely falls through to a normal miss).
 
@@ -127,7 +122,7 @@ class PlanCache:
                 del self._aliases[next(iter(self._aliases))]
 
     def invalidate(self, key: Hashable) -> None:
-        """Drop one entry if present (epoch keys make this rarely needed)."""
+        """Drop one entry if present."""
         with self._lock:
             self._entries.pop(key, None)
 
@@ -140,10 +135,9 @@ class PlanCache:
     def _reset_after_fork(self) -> None:
         """Reinitialise in a forked child (fresh lock, empty, zero counters).
 
-        Compiled plans are keyed partly by document-index *identity*
-        epochs; a forked child rebuilds its indexes, so inherited entries
-        could never hit anyway — and an inherited lock held by a parent
-        thread at fork time would deadlock the child.
+        An inherited lock held by a parent thread at fork time would
+        deadlock the child, and a child starts from an empty cache like
+        every other fork-safe singleton.
         """
         self._lock = threading.Lock()
         self._entries = {}

@@ -38,16 +38,17 @@ Two granularities are offered: :meth:`ShardedExecutor.run_batch` (one
 task per query — the engine behind
 ``QuerySession.run_batch(executor="process")``) and
 :meth:`ShardedExecutor.map_corpus` (one query over many documents,
-grouped into element-count-balanced shards via
-:func:`repro.engine.estimator.balanced_partition`).  For one giant
-document, :func:`shard_document` splits it by top-level subtree and
-:func:`merge_shard_results` reassembles the per-shard result documents —
-sound for queries whose matches stay inside a single top-level subtree
-and whose construct part is collect-style (no cross-shard aggregation).
+grouped into element-count-balanced shards via :func:`balanced_partition`).
+For one giant document, :func:`shard_document` splits it by top-level
+subtree and :func:`merge_shard_results` reassembles the per-shard result
+documents — sound for queries whose matches stay inside a single
+top-level subtree and whose construct part is collect-style (no
+cross-shard aggregation).
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import os
 import threading
@@ -64,7 +65,6 @@ from ..errors import (
     ReproError,
 )
 from ..ssd.model import Document, Element
-from .estimator import balanced_partition
 from .limits import CancelToken, QueryBudget, arm_budget
 from .options import ExecOptions
 from .stats import EvalStats
@@ -74,6 +74,7 @@ __all__ = [
     "ShardOutcome",
     "ShardTask",
     "ShardedExecutor",
+    "balanced_partition",
     "merge_shard_results",
     "merge_stats",
     "reset_worker_state",
@@ -261,7 +262,6 @@ def _evaluate_shard_task(task: ShardTask) -> ShardOutcome:
         rule, _, plan = lookup_or_compile(
             task.query,
             sources,
-            indexes=shared_cache,
             stats=stats,
             plans=shared_plans,
             rewrite=task.options.rewrite,
@@ -301,6 +301,37 @@ def _evaluate_shard_group(
 
 
 # -- merging -----------------------------------------------------------------
+
+
+def balanced_partition(weights: Sequence[int], groups: int) -> list[list[int]]:
+    """Split item indices into ``groups`` near-equal-weight groups.
+
+    Greedy longest-processing-time: items are placed heaviest-first onto
+    the currently lightest group, a 4/3-approximation of the optimal
+    makespan — good enough to keep shard wall times balanced.  Weights are
+    whatever cost proxy the caller has (:meth:`ShardedExecutor.map_corpus`
+    uses element counts).
+
+    Returns at most ``groups`` lists of indices into ``weights``; empty
+    groups are dropped, and within a group the original order is kept so
+    shard-major iteration stays deterministic.
+    """
+    if groups < 1:
+        raise ValueError("groups must be at least 1")
+    count = min(groups, len(weights))
+    if count == 0:
+        return []
+    # (load, group position) heap; ties broken by position for determinism.
+    heap: list[tuple[int, int]] = [(0, position) for position in range(count)]
+    assignment: list[list[int]] = [[] for _ in range(count)]
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    for item in order:
+        load, position = heapq.heappop(heap)
+        assignment[position].append(item)
+        heapq.heappush(heap, (load + weights[item], position))
+    for bucket in assignment:
+        bucket.sort()
+    return [bucket for bucket in assignment if bucket]
 
 
 def merge_stats(outcomes: Sequence[ShardOutcome]) -> EvalStats:

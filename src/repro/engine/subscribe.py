@@ -14,11 +14,10 @@ pay for re-evaluation.
 
 Re-evaluation is from-index, not from-scratch: the typed mutation API
 maintains the cached :class:`~repro.engine.index.DocumentIndex` in place,
-so the re-run takes a warm index (and, for non-structural batches, a warm
-plan-cache) hit.  The old and new binding sets are diffed by
-:meth:`~repro.engine.bindings.Binding.key` into a :class:`ResultDelta` —
-the rows a consumer must add and remove to stay current, queued until
-:meth:`Subscription.poll` drains them.
+so the re-run takes a warm index and a warm plan-cache hit.  The old and
+new binding sets are diffed by :meth:`~repro.engine.bindings.Binding.key`
+into a :class:`ResultDelta` — the rows a consumer must add and remove to
+stay current, queued until :meth:`Subscription.poll` drains them.
 
 Footprint soundness hinges on XML-GL's two text semantics: a text circle
 (:class:`~repro.xmlgl.ast.TextPattern`) binds its parent's *immediate*
@@ -256,7 +255,6 @@ class Subscription:
         rule, source_text, _plan = lookup_or_compile(
             query,
             sources,
-            indexes=indexes,
             stats=stats,
             plans=plans,
             rewrite=options.rewrite,
@@ -287,15 +285,12 @@ class Subscription:
         from ..xmlgl.evaluator import lookup_or_compile, rule_bindings
 
         stats = EvalStats()
-        # Re-resolve the plan each run: the cache key embeds the indexes'
-        # stats epochs, so non-structural commits take a warm hit while a
-        # structural commit (epoch bump) recompiles against fresh
-        # statistics — exactly the staleness contract the planner wants.
+        # Re-resolve the plan each run: compiled plans read no document, so
+        # every re-run after a commit is a warm plan-cache hit.
         rule, _text, plan = lookup_or_compile(
             self.source_text if self.source_text is not None else self.rule,
             self._sources,
             parsed=self.rule,
-            indexes=self._indexes,
             stats=stats,
             plans=self._plans,
             rewrite=self._options.rewrite,

@@ -19,7 +19,6 @@ in :mod:`repro.xmlgl.matcher` that shares the same ordering ideas.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Hashable, Iterator, Optional
@@ -31,7 +30,6 @@ from ..engine.pipeline import (
     evaluate_forest,
     is_forest,
 )
-from ..engine.planner import choose_fragment_engine
 from ..engine.stats import EvalStats
 from ..engine.trace import span as trace_span
 from ..errors import BudgetExceeded
@@ -228,7 +226,6 @@ def find_homomorphisms_setwise(
     data: LabeledGraph,
     spec: Optional[MatchSpec] = None,
     stats: Optional[EvalStats] = None,
-    adaptive: bool = False,
 ) -> Iterator[dict[NodeId, NodeId]]:
     """Set-at-a-time counterpart of :func:`find_homomorphisms`.
 
@@ -241,13 +238,6 @@ def find_homomorphisms_setwise(
     backtracking matcher; fallbacks are tallied in
     ``stats.pipeline_fallbacks``.  Yields the same mappings as
     :func:`find_homomorphisms`, though possibly in a different order.
-
-    With ``adaptive=True`` each coverable component is additionally
-    cost-compared (:func:`repro.engine.planner.choose_fragment_engine`)
-    using data-graph label counts as pool estimates and per-label edge
-    counts as pair upper bounds; components the walk estimates cheaper
-    node-at-a-time run on the backtracking matcher (trace decision
-    ``backtracking`` / reason ``cost``).
     """
     spec = spec or MatchSpec()
     stats = stats if stats is not None else EvalStats()
@@ -273,71 +263,39 @@ def find_homomorphisms_setwise(
     components = connected_components(
         pattern_nodes, [(e.source, e.target) for e in all_edges]
     )
-    label_counts: Optional[Counter] = None
-    edge_label_counts: Optional[Counter] = None
-    if adaptive:
-        label_counts = Counter(data.node(d).label for d in data.nodes())
-        edge_label_counts = Counter(e.label for e in data.edges())
+
+    def backtracked(
+        nodes: list[NodeId], subspec: MatchSpec
+    ) -> list[dict[NodeId, NodeId]]:
+        return [
+            dict(m)
+            for m in find_homomorphisms(
+                pattern.subgraph(nodes), data, subspec, stats=stats
+            )
+        ]
+
     per_component: list[list[dict[NodeId, NodeId]]] = []
     for component in components:
         nodes = [p for p in pattern_nodes if p in component]
         edges = [e for e in all_edges if e.source in component]
         fallback_reason = _setwise_fallback_reason(component, edges, spec)
-        decision = "pipeline" if fallback_reason is None else "fallback"
-        costs = None
-        if adaptive and fallback_reason is None:
-            assert label_counts is not None and edge_label_counts is not None
-            total = sum(label_counts.values())
-            pool_sizes = {
-                p: (
-                    total
-                    if pattern.node(p).label == "*"
-                    else label_counts.get(pattern.node(p).label, 0)
-                )
-                for p in nodes
-            }
-            costs = choose_fragment_engine(
-                pool_sizes,
-                [
-                    (e.source, e.target, float(edge_label_counts.get(e.label, 0)))
-                    for e in edges
-                ],
-                enabled=spec.narrow,
-            )
-            if costs.engine == "backtracking":
-                decision = "backtracking"
+        subspec = MatchSpec(
+            injective=False,
+            node_compat=compat,
+            path_edges={e for e in spec.path_edges if e.source in component},
+            negated_edges={
+                e for e in spec.negated_edges if e.source in component
+            },
+            narrow=spec.narrow,
+        )
         with trace_span(
             stats.trace,
             "match.fragment",
             variables=[str(p) for p in nodes],
-            decision=decision,
-            reason="cost" if decision == "backtracking" else fallback_reason,
+            decision="pipeline" if fallback_reason is None else "fallback",
+            reason=fallback_reason,
         ) as fragment_span:
-            if fragment_span is not None and costs is not None:
-                fragment_span["est_pipeline"] = round(costs.pipeline, 1)
-                fragment_span["est_backtracking"] = round(costs.backtracking, 1)
-            subspec = MatchSpec(
-                injective=False,
-                node_compat=compat,
-                path_edges={
-                    e for e in spec.path_edges if e.source in component
-                },
-                negated_edges={
-                    e for e in spec.negated_edges if e.source in component
-                },
-                narrow=spec.narrow,
-            )
-            if decision == "backtracking":
-                stats.bump("adaptive_backtracking")
-                rows = [
-                    dict(m)
-                    for m in find_homomorphisms(
-                        pattern.subgraph(nodes), data, subspec, stats=stats
-                    )
-                ]
-            elif fallback_reason is None:
-                if adaptive:
-                    stats.bump("adaptive_pipeline")
+            if fallback_reason is None:
                 stats.pipeline_fragments += 1
                 rows_before = 0 if stats.budget is None else stats.budget.rows
                 try:
@@ -362,21 +320,11 @@ def find_homomorphisms_setwise(
                             reason="budget",
                             variables=[str(p) for p in nodes],
                         )
-                    rows = [
-                        dict(m)
-                        for m in find_homomorphisms(
-                            pattern.subgraph(nodes), data, subspec, stats=stats
-                        )
-                    ]
+                    rows = backtracked(nodes, subspec)
             else:
                 stats.pipeline_fallbacks += 1
                 stats.bump(f"fallback_{fallback_reason}")
-                rows = [
-                    dict(m)
-                    for m in find_homomorphisms(
-                        pattern.subgraph(nodes), data, subspec, stats=stats
-                    )
-                ]
+                rows = backtracked(nodes, subspec)
             if fragment_span is not None:
                 fragment_span["rows"] = len(rows)
         if not rows:

@@ -113,8 +113,9 @@ class QuerySession:
         # several sessions into the process-wide aggregate.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         # Compiled plans likewise default to the process-wide cache: the
-        # key embeds the query digest and index epochs, so sharing across
-        # sessions is safe; pass a private PlanCache to isolate.
+        # key is the query digest alone and plans read no document, so
+        # sharing across sessions is safe; pass a private PlanCache to
+        # isolate.
         self._plans = plans if plans is not None else shared_plans
         self._cycles: list[QueryCycle] = []
         self._position = -1  # index of the current cycle
@@ -175,7 +176,6 @@ class QuerySession:
                 query,
                 self._sources,
                 parsed=parsed,
-                indexes=self._indexes,
                 stats=stats,
                 plans=self._plans,
                 rewrite=options.rewrite,
@@ -365,7 +365,6 @@ class QuerySession:
                 source_text if source_text is not None else rule,
                 self._sources,
                 parsed=rule,
-                indexes=self._indexes,
                 stats=EvalStats(),
                 plans=self._plans,
                 rewrite=opts.rewrite,

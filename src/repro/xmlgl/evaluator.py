@@ -8,7 +8,7 @@ Repeated queries skip the front half entirely: :func:`lookup_or_compile`
 keys a :class:`~repro.engine.plan_cache.CompiledPlan` — the parsed rule,
 its static-preflight verdict and one compiled
 :class:`~repro.xmlgl.matcher.CompiledGraphPlan` per extract graph — by the
-query text's digest and the participating indexes' stats epochs, and
+query text's digest alone (compilation reads no document), and
 :func:`rule_bindings` / :func:`evaluate_rule` accept the cached plan via
 ``plan=`` so parse, validation, preflight and graph analysis all amortise
 to one execution.
@@ -151,15 +151,14 @@ def lookup_or_compile(
     """The plan-cache front door: ``(rule, source_text, compiled plan)``.
 
     Plans are stored under the digest of the query's **canonical rewritten
-    form** (:func:`repro.analysis.rewrite.canonical_rule_text`) paired
-    with the stats epochs of every source document's index — so two
+    form** (:func:`repro.analysis.rewrite.canonical_rule_text`), so two
     textually different but semantically equal queries share one compiled
-    plan, and a mutated-and-reinvalidated document rebuilds its index
-    under a fresh epoch so stale plans can never be served.  A cheap alias
-    map keyed by the raw text's digest fronts the canonical entries: a
-    warm repeat of the *identical* text resolves without parsing at all.
-    Indexes are resolved through ``indexes`` (the shared cache by
-    default), which doubles as the index prewarm for the evaluation.
+    plan.  Compilation reads no document, so the key names none: one plan
+    serves every source and survives every mutation.  A cheap alias map
+    keyed by the raw text's digest fronts the canonical entries: a warm
+    repeat of the *identical* text resolves without parsing at all.
+    ``sources`` and ``indexes`` are not read; they stay in the signature
+    for existing callers.
 
     On a hit the parse, validation, rewrite, preflight and graph analysis
     are all skipped (``stats.plan_cache_hits``, trace event
@@ -182,13 +181,6 @@ def lookup_or_compile(
     digest = hashlib.sha256(
         (source_text if source_text is not None else unparse_rule(parsed)).encode()
     ).hexdigest()
-    cache = indexes if indexes is not None else shared_cache
-    documents = (
-        [sources] if isinstance(sources, Document) else list(sources.values())
-    )
-    epochs = tuple(
-        cache.get(document, stats=stats).stats_epoch for document in documents
-    )
     plan_cache = plans if plans is not None else shared_plans
 
     def _hit(
@@ -205,7 +197,7 @@ def lookup_or_compile(
 
     if not rewrite:
         # raw-keyed, no canonical sharing: the verbatim-evaluation path
-        raw_key = (("raw", digest), epochs)
+        raw_key = ("raw", digest)
         plan = plan_cache.get(raw_key)
         if plan is not None:
             return _hit(plan, canonical=False).rule, source_text, plan
@@ -222,7 +214,7 @@ def lookup_or_compile(
         plan_cache.put(raw_key, plan)
         return parsed, source_text, plan
 
-    alias_key = (digest, epochs)
+    alias_key = digest
     target = plan_cache.resolve_alias(alias_key)
     if target is not None:
         plan = plan_cache.get(target)
@@ -240,7 +232,7 @@ def lookup_or_compile(
     canonical_digest = hashlib.sha256(
         canonical_rule_text(rewritten).encode()
     ).hexdigest()
-    canonical_key = (("canon", canonical_digest), epochs)
+    canonical_key = ("canon", canonical_digest)
     plan = plan_cache.get(canonical_key)
     if plan is not None:
         # a semantically equal query compiled this plan under another text;

@@ -1,10 +1,10 @@
 """Unit tests for the columnar kernels (repro.engine.columns).
 
 Every kernel is checked against a brute-force oracle, on both backends
-when numpy is importable: the backend pin is flipped by monkeypatching
-``columns._FORCED`` (the module-level snapshot of ``REPRO_COLUMNS``), so
-one test run covers the pure-Python and the vectorised paths with
-identical inputs.
+when numpy is importable.  A backend is pinned by monkeypatching the
+module: ``_np = None`` forces the pure-Python path, ``_NUMPY_MIN = 0``
+sends every input down the vectorised one — so one test run covers both
+paths with identical inputs.
 """
 
 import random
@@ -15,7 +15,6 @@ import pytest
 from repro.engine import columns
 from repro.engine.columns import (
     HAVE_NUMPY,
-    backend,
     column,
     containment_count,
     containment_pairs,
@@ -28,18 +27,27 @@ from repro.engine.columns import (
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
 
+def pin(monkeypatch, backend: str) -> None:
+    """Route every kernel input to ``backend`` for the rest of the test."""
+    if backend == "python":
+        monkeypatch.setattr(columns, "_np", None)
+    else:
+        monkeypatch.setattr(columns, "_NUMPY_MIN", 0)
+
+
 @pytest.fixture(params=BACKENDS)
 def pinned_backend(request, monkeypatch):
-    monkeypatch.setattr(columns, "_FORCED", request.param)
+    pin(monkeypatch, request.param)
     return request.param
 
 
-def random_tree_columns(rng: random.Random, count: int):
-    """A random tree's (posts, parent_pre) columns in pre-order numbering.
+def random_tree_labels(rng: random.Random, count: int):
+    """A random tree's ``(labels, post_of, parent_of)`` in gap labels.
 
-    Built the same way DocumentIndex numbers elements: children get
-    consecutive pre ids after their parent; ``post`` is the largest pre in
-    the subtree; the root's parent is -1.
+    Built the way DocumentIndex labels elements: pre order, ``post`` is
+    the largest label in the subtree, the root's parent is -1.  Labels are
+    spaced irregularly, as after local edits, so the kernels never see
+    dense ids.
     """
     parent_pre = [-1] * count
     for pre in range(1, count):
@@ -50,12 +58,24 @@ def random_tree_columns(rng: random.Random, count: int):
         while ancestor >= 0:
             posts[ancestor] = max(posts[ancestor], posts[pre])
             ancestor = parent_pre[ancestor]
-    return posts, parent_pre
+    labels = []
+    label = 0
+    for _ in range(count):
+        label += rng.randint(1, 64)
+        labels.append(label)
+    post_of = {labels[pre]: labels[posts[pre]] for pre in range(count)}
+    parent_of = {
+        labels[pre]: labels[parent_pre[pre]] if parent_pre[pre] >= 0 else -1
+        for pre in range(count)
+    }
+    return labels, post_of, parent_of
 
 
 class TestBasics:
     def test_backend_report(self, pinned_backend):
-        assert backend() == pinned_backend
+        vectorised = pinned_backend == "numpy"
+        assert columns._use_numpy(1) is vectorised
+        assert columns._use_numpy(10_000) is vectorised
 
     def test_column_and_unique_sorted(self):
         assert list(column([3, 1])) == [3, 1]
@@ -95,23 +115,23 @@ class TestContainmentKernels:
     def test_pairs_match_interval_oracle(self, pinned_backend, seed):
         rng = random.Random(seed)
         count = rng.randint(2, 400)
-        posts, parent_pre = random_tree_columns(rng, count)
-        parents = unique_sorted(rng.sample(range(count), rng.randint(1, count)))
-        children = unique_sorted(rng.sample(range(count), rng.randint(1, count)))
+        labels, post_of, _ = random_tree_labels(rng, count)
+        parents = unique_sorted(rng.sample(labels, rng.randint(1, count)))
+        children = unique_sorted(rng.sample(labels, rng.randint(1, count)))
+        posts = column(post_of[p] for p in parents)
         expected = [
             (p, c)
             for p in parents
             for c in children
-            if p < c <= posts[p]
+            if p < c <= post_of[p]
         ]
         left, right = containment_pairs(parents, posts, children)
         assert sorted(zip(left, right)) == sorted(expected)
         assert containment_count(parents, posts, children) == len(expected)
 
     def test_empty_pools(self, pinned_backend):
-        posts = [1, 1]
-        assert containment_count(column(), posts, column([0])) == 0
-        left, right = containment_pairs(column([0]), posts, column())
+        assert containment_count(column(), column(), column([0])) == 0
+        left, right = containment_pairs(column([0]), column([64]), column())
         assert (list(left), list(right)) == ([], [])
 
 
@@ -120,16 +140,17 @@ class TestDirectPairs:
     def test_pairs_match_parent_pointer_oracle(self, pinned_backend, seed):
         rng = random.Random(seed)
         count = rng.randint(2, 400)
-        _, parent_pre = random_tree_columns(rng, count)
-        parents = unique_sorted(rng.sample(range(count), rng.randint(1, count)))
-        children = unique_sorted(rng.sample(range(count), rng.randint(1, count)))
+        labels, _, parent_of = random_tree_labels(rng, count)
+        parents = unique_sorted(rng.sample(labels, rng.randint(1, count)))
+        children = unique_sorted(rng.sample(labels, rng.randint(1, count)))
         parent_members = set(parents)
         expected = [
-            (parent_pre[c], c)
+            (parent_of[c], c)
             for c in children
-            if parent_pre[c] >= 0 and parent_pre[c] in parent_members
+            if parent_of[c] >= 0 and parent_of[c] in parent_members
         ]
-        left, right = direct_pairs(parents, column(parent_pre), children)
+        child_parents = column(parent_of[c] for c in children)
+        left, right = direct_pairs(parents, child_parents, children)
         assert list(zip(left, right)) == expected
 
 
@@ -141,22 +162,25 @@ class TestBackendAgreement:
     def test_all_kernels_agree(self, monkeypatch, seed):
         rng = random.Random(1000 + seed)
         count = 500  # above _NUMPY_MIN so auto would vectorise too
-        posts, parent_pre = random_tree_columns(rng, count)
-        parents = unique_sorted(rng.sample(range(count), 200))
-        children = unique_sorted(rng.sample(range(count), 300))
+        labels, post_of, parent_of = random_tree_labels(rng, count)
+        parents = unique_sorted(rng.sample(labels, 200))
+        children = unique_sorted(rng.sample(labels, 300))
+        posts = column(post_of[p] for p in parents)
+        child_parents = column(parent_of[c] for c in children)
         results = {}
-        for pin in ("python", "numpy"):
-            monkeypatch.setattr(columns, "_FORCED", pin)
-            results[pin] = (
-                list(intersect_sorted(parents, children)),
-                containment_count(parents, posts, children),
-                tuple(
-                    list(side)
-                    for side in containment_pairs(parents, posts, children)
-                ),
-                tuple(
-                    list(side)
-                    for side in direct_pairs(parents, column(parent_pre), children)
-                ),
-            )
+        for backend in ("python", "numpy"):
+            with monkeypatch.context() as patched:
+                pin(patched, backend)
+                results[backend] = (
+                    list(intersect_sorted(parents, children)),
+                    containment_count(parents, posts, children),
+                    tuple(
+                        list(side)
+                        for side in containment_pairs(parents, posts, children)
+                    ),
+                    tuple(
+                        list(side)
+                        for side in direct_pairs(parents, child_parents, children)
+                    ),
+                )
         assert results["python"] == results["numpy"]

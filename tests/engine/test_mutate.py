@@ -39,7 +39,24 @@ def assert_index_matches_fresh(index, document):
     assert index.tags() == fresh.tags()
     for tag in fresh.tags():
         assert index.elements_with_tag(tag) == fresh.elements_with_tag(tag), tag
+        table = index.element_table()
+        assert [table[pre] for pre in index.tag_pres(tag)] == list(
+            fresh.elements_with_tag(tag)
+        ), tag
     elements = list(fresh.all_elements())
+    # the pipeline's columns: every label, its parent's and its post
+    pres = index.all_pres()
+    assert [index.element_table()[pre] for pre in pres] == elements
+    for element, parent, post in zip(
+        elements, index.parents_of(pres), index.posts_of(pres)
+    ):
+        expected_parent = (
+            -1 if element is document.root else index.position(element.parent)
+        )
+        assert parent == expected_parent
+        assert post == max(
+            index.position(e) for e in [element, *fresh.descendants(element)]
+        )
     for a in elements:
         for b in elements:
             assert index.is_ancestor(a, b) == fresh.is_ancestor(a, b), (a, b)
@@ -240,21 +257,27 @@ class TestIndexMaintenance:
         assert_index_matches_fresh(index, document)
         assert index.doc_revision == 40
 
-    def test_stats_epoch_bumps_only_on_structural_batches(self):
+    def test_columns_are_the_maintained_labels(self):
+        # The pipeline's columns are the index's own gap labels, spliced
+        # in place by each edit: nothing is derived from them that an edit
+        # would force a whole-document rebuild of.
         document = doc()
         index = DocumentIndex(document)
-        epoch = index.stats_epoch
-        title = document.root.child_elements()[0].child_elements()[0]
-        apply_batch(
-            document, MutationBatch().update_value(title, "v"), indexes=[index]
-        )
-        assert index.stats_epoch == epoch
+        books = index.tag_pres("book")
+        everything = index.all_pres()
+        table = index.element_table()
+        new = book("D", "2001")
         apply_batch(
             document,
-            MutationBatch().insert_subtree(document.root, book("D", "2001")),
+            MutationBatch().insert_subtree(document.root, new, 1),
             indexes=[index],
         )
-        assert index.stats_epoch != epoch
+        assert index.maintenance_counters()["relabels"] == 0
+        assert index.tag_pres("book") is books
+        assert index.all_pres() is everything
+        assert index.element_table() is table
+        assert index.position(new) in books
+        assert table[index.position(new)] is new
 
     def test_maintenance_counters_track_work(self):
         document = doc()

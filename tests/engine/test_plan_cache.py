@@ -1,11 +1,12 @@
 """Tests for the compiled-plan cache (repro.engine.plan_cache) and its
-wiring through QuerySession, tracing and stats-epoch invalidation."""
+wiring through QuerySession, tracing and document mutation."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.engine.cache import DocumentIndexCache
+from repro.engine.mutate import MutationBatch
 from repro.engine.plan_cache import CompiledPlan, PlanCache
 from repro.session import QuerySession
 from repro.ssd import parse_document
@@ -105,7 +106,7 @@ class TestSessionWiring:
         assert len(plans) == 2
         assert session.current().stats.plan_cache_misses == 1
 
-    def test_stats_epoch_change_invalidates(self, caches):
+    def test_structural_mutation_keeps_the_plan(self, caches):
         indexes, plans = caches
         document = parse_document(XML)
         session = QuerySession(document, indexes=indexes, plans=plans)
@@ -113,24 +114,27 @@ class TestSessionWiring:
         first = session.current()
         assert first.stats.plan_cache_misses == 1
 
-        # mutate the document and invalidate its index: the rebuilt index
-        # carries a fresh stats epoch, so the old plan key never matches
+        # a structural commit: compiled plans read no document, so the
+        # re-run is a warm hit that still sees the inserted book
         book = Element("book")
         book.set("year", "2001")
         title = Element("title")
         title.append("C")
         book.append(title)
-        document.root.append(book)
-        assert indexes.invalidate(document)
+        result = session.mutate(MutationBatch().insert_subtree(document.root, book))
+        assert result.structural
 
         session.run(QUERY)
         second = session.current()
-        assert second.stats.plan_cache_misses == 1
-        assert second.stats.plan_cache_hits == 0
-        # the recompiled plan sees the mutated document
+        assert second.stats.plan_cache_hits == 1
+        assert second.stats.plan_cache_misses == 0
         assert "C" in second.result.text_content()
-        # the stale entry ages out of the LRU rather than being evented
-        assert len(plans) == 2
+        assert len(plans) == 1
+        fresh = QuerySession(
+            document, indexes=DocumentIndexCache(), plans=PlanCache()
+        )
+        fresh.run(QUERY)
+        assert second.result.equals(fresh.current().result)
 
     def test_semantically_equal_queries_share_one_entry(self, session, caches):
         _, plans = caches

@@ -15,7 +15,6 @@ import pytest
 
 from repro.engine import shard as shard_module
 from repro.engine.cache import shared_cache
-from repro.engine.estimator import balanced_partition
 from repro.engine.limits import CancelToken, QueryBudget
 from repro.engine.metrics import global_registry
 from repro.engine.options import ExecOptions
@@ -30,6 +29,7 @@ from repro.engine.shard import (
     _evaluate_shard_task,
     _reject_tracing,
     _revive_error,
+    balanced_partition,
     merge_shard_results,
     merge_stats,
     serialize_sources,

@@ -46,9 +46,6 @@ CONFIGS = [
     MatchOptions(engine="backtracking", use_planner=False),
     MatchOptions(engine="naive", use_planner=True),
     MatchOptions(engine="naive", use_planner=False),
-    # the cost-based selector must agree with whatever it picks
-    MatchOptions(engine="adaptive", use_planner=True),
-    MatchOptions(engine="adaptive", use_planner=False),
 ]
 
 

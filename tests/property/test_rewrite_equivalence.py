@@ -30,7 +30,7 @@ from repro.xmlgl.rule import Rule
 
 from .test_matcher_equivalence import TAGS, random_document, random_query
 
-ENGINES = ("pipeline", "backtracking", "adaptive")
+ENGINES = ("pipeline", "backtracking")
 
 
 def make_rule(graph, rng: random.Random) -> Rule:

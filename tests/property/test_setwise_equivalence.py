@@ -180,7 +180,6 @@ RULES = [
 ]
 
 ENGINES = [
-    MatchOptions(engine="adaptive"),
     MatchOptions(engine="pipeline"),
     MatchOptions(engine="backtracking"),
     MatchOptions(engine="naive"),

@@ -64,11 +64,10 @@ class TestBudgetErrorRows:
         second = session.run_batch([CHAIN_RULE, ONE_BINDING_RULE])
         assert all(r.ok for r in second)
         for row in second:
-            # two hits per row: the plan-cache key lookup resolves the
-            # index for its epoch, then the evaluator fetches it again
+            # one hit per row: the plan-cache key reads no index, so
+            # only the evaluator fetches it
             assert row.stats.cache_misses == 0
-            assert row.stats.cache_hits == 2
-            assert row.stats.cache_misses == 0
+            assert row.stats.cache_hits == 1
 
     def test_partial_mode_rows_return_truncated_results(self, session):
         results = session.run_batch(

@@ -4,8 +4,8 @@ import json
 
 from repro.bench_smoke import (
     QUERIES,
-    check_adaptive,
     check_baseline,
+    check_default,
     main,
     measure_plan_cache,
     run_suite,
@@ -18,12 +18,11 @@ def test_run_suite_shape_and_agreement():
     for entry in report["queries"].values():
         assert entry["indexed"]["bindings"] == entry["naive"]["bindings"]
         assert entry["pipeline"]["bindings"] == entry["indexed"]["bindings"]
-        assert entry["adaptive"]["bindings"] == entry["indexed"]["bindings"]
+        assert "adaptive" not in entry
         assert entry["work_ratio"] >= 1.0
         assert entry["indexed"]["seconds"] > 0
         assert entry["pipeline"]["seconds"] > 0
-        assert entry["adaptive"]["seconds"] > 0
-        assert entry["adaptive_overhead"] > 0
+        assert entry["default_overhead"] > 0
 
 
 def test_descendant_heavy_work_reduction():
@@ -60,7 +59,7 @@ def test_check_baseline_flags_only_regressions():
 
 def test_main_writes_json(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    # best-of-3 timing: the adaptive gate compares wall times, and a
+    # best-of-3 timing: the default-engine gate compares wall times, and a
     # single-sample run of microsecond queries can flake on one
     # scheduler hiccup
     args = [
@@ -89,29 +88,28 @@ def test_main_writes_json(tmp_path, capsys):
     assert len(report3["history"]) == 2
 
 
-def test_check_adaptive_flags_only_real_violations():
+def test_check_default_flags_only_real_violations():
     report = run_suite(bib_entries=20, sections_depth=4, repeat=1)
     # the gate is count-stable: fabricate a clear violation and a clear pass.
     # Pin every query to parity first — a repeat=1 report carries real timing
     # noise, and a genuine borderline violation would skew the counts.
     rigged = json.loads(json.dumps(report))
     for noisy in rigged["queries"].values():
-        noisy["adaptive"]["seconds"] = min(
-            noisy["pipeline"]["seconds"], noisy["indexed"]["seconds"]
-        )
-    assert check_adaptive(rigged) == []
+        noisy["pipeline"]["seconds"] = noisy["indexed"]["seconds"]
+    assert check_default(rigged) == []
     name = next(iter(rigged["queries"]))
     entry = rigged["queries"][name]
-    best = min(entry["pipeline"]["seconds"], entry["indexed"]["seconds"])
-    entry["adaptive"]["seconds"] = best * 10 + 1.0
-    violations = check_adaptive(rigged)
+    best = entry["indexed"]["seconds"]
+    entry["pipeline"]["seconds"] = best * 10 + 1.0
+    violations = check_default(rigged)
     assert len(violations) == 1
     assert name in violations[0]
-    entry["adaptive"]["seconds"] = best  # at parity: never a violation
-    assert check_adaptive(rigged) == []
-    # missing adaptive column (old reports) never trips the gate
-    del entry["adaptive"]
-    assert check_adaptive(rigged) == []
+    # the indexed engine 5% faster: inside the 10% tolerance
+    entry["pipeline"]["seconds"] = best * 1.05
+    assert check_default(rigged) == []
+    # a missing default column never trips the gate
+    del entry["pipeline"]
+    assert check_default(rigged) == []
 
 
 def test_plan_cache_block_asserts_counters():
@@ -197,7 +195,9 @@ def test_incremental_block_work_ratio_and_oracle():
     # the acceptance bar: gap-label maintenance must beat rebuild-per-edit
     # by a wide margin even on a tiny document
     assert block["work_ratio"] >= 5.0
-    assert block["maintenance_counters"]["dense_rebuilds"] == 0
+    # the set-at-a-time re-evaluations read the maintained gap labels:
+    # no whole-document view is derived from them, so none is rebuilt
+    assert "dense_rebuilds" not in block["maintenance_counters"]
 
 
 def test_report_carries_incremental_block():

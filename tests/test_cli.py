@@ -230,6 +230,22 @@ class TestRunCommand:
         assert output.startswith("EXPLAIN")
         assert "<recent>" not in output
 
+    @pytest.mark.parametrize(
+        "explain", [[], ["--explain"]], ids=["result", "explain"]
+    )
+    def test_budget_trip_exits_4_with_or_without_explain(
+        self, files, capsys, explain
+    ):
+        # --explain evaluates the query too, so it runs under the same
+        # budget and fails the same way
+        status, output = run(
+            ["run", files["rule.xgl"], files["data.xml"], "--max-work", "1"]
+            + explain
+        )
+        assert status == 4
+        assert output == ""
+        assert "max_work" in capsys.readouterr().err
+
     def test_records_into_global_registry(self, files):
         from repro.engine.metrics import global_registry
 
@@ -288,13 +304,27 @@ class TestExplainCommand:
         assert "semi-join" in output
         assert "->" in output
 
-    def test_shipped_example_adaptive_default(self):
-        # under the adaptive default the same example reports per-fragment
-        # cost decisions and the plan-cache outcome
+    def test_shipped_example_pipeline_default(self):
+        # the default engine is the one the options type names; the same
+        # example reports the pipeline and the plan-cache outcome
+        from repro.engine.options import ExecOptions
+
         status, output = run(["explain", "examples/fig_q3_join.xgl"])
         assert status == 0
-        assert "engine: adaptive" in output
+        assert f"engine: {ExecOptions().engine}" in output
+        assert "engine: pipeline" in output
         assert "plan: " in output
+
+    def test_engine_choices_follow_the_options_type(self):
+        from repro.cli import build_parser
+        from repro.engine.options import ENGINES
+
+        parser = build_parser()
+        for engine in ENGINES:
+            args = parser.parse_args(["explain", "q.xgl", "--engine", engine])
+            assert args.engine == engine
+        with pytest.raises(SystemExit):
+            parser.parse_args(["explain", "q.xgl", "--engine", "adaptive"])
 
     def test_missing_file(self):
         status, _ = run(["explain", "/nonexistent.xgl"])

@@ -101,23 +101,24 @@ class TestSyntheticDefault:
         assert not report.synthetic_source
 
 
-class TestAdaptiveExplain:
-    def test_cost_chosen_backtracking_surfaces(self):
-        # one book among many titles: walking from the single book is
-        # cheaper than materialising the whole title pool and its
-        # relation, and the report says so
+class TestDefaultExplain:
+    def test_default_engine_runs_the_pipeline(self):
+        # one book among many titles: the default engine evaluates every
+        # coverable fragment set-at-a-time, whatever the pool sizes
         wide = parse_document(
             "<bib><book><title>A</title></book>"
             + "<entry><title>x</title></entry>" * 40
             + "</bib>"
         )
-        report = explain(CHAIN, wide, options=MatchOptions(engine="adaptive"))
-        assert report.engine == "adaptive"
+        report = explain(CHAIN, wide)
+        assert report.engine == "pipeline"
         [fragment] = report.graphs[0].fragments
-        assert fragment.decision == "backtracking"
-        assert fragment.reason == "cost"
-        assert fragment.est_pipeline >= fragment.est_backtracking > 0
-        assert "cost-chosen backtracking" in report.render_text()
+        assert fragment.decision == "pipeline"
+        assert fragment.reason is None
+        assert fragment.rows == 1
+        payload = json.loads(report.render_json())
+        [digest] = payload["graphs"][0]["fragments"]
+        assert not any(key.startswith("est_") for key in digest)
 
     def test_plan_source_cached_on_repeat(self):
         from repro.engine.cache import DocumentIndexCache

@@ -1,8 +1,8 @@
 """Golden counters for the set-wise WG-Log matcher.
 
 The five rules of the ``wglog-derive`` workload run on
-``site_graph(100, seed=0)`` under the ``pipeline`` and ``adaptive``
-engines.  The binding counts and work counters below are golden values:
+``site_graph(100, seed=0)`` under the default ``pipeline`` engine.  The
+binding counts and work counters below are golden values:
 a change to how many pairs the set-wise matcher materialises, how many
 candidates its semi-joins drop or which route a fragment takes shows up
 here as a changed number.  ``step`` also runs after the ``reach``
@@ -74,22 +74,10 @@ PIPELINE = {
     ("step", True): ((3304, 2, 2655, 5039, 4, 116, 1, 0), {}),
 }
 
-#: The adaptive cost model sends every coverable rule to backtracking.
-ADAPTIVE = {
-    ("big", False): ((56, 0, 0, 0, 0, 0, 0, 0), {"adaptive_backtracking": 1}),
-    ("triangle", False): ((3, 0, 0, 0, 0, 0, 0, 1), {"fallback_cyclic": 1}),
-    ("siblings", False): (
-        (467, 0, 0, 0, 0, 0, 0, 0), {"adaptive_backtracking": 1}
-    ),
-    ("base", False): ((131, 0, 0, 0, 0, 0, 0, 0), {"adaptive_backtracking": 1}),
-    ("step", False): ((0, 0, 0, 0, 0, 0, 0, 0), {"adaptive_backtracking": 1}),
-    ("step", True): ((3304, 0, 0, 0, 0, 0, 0, 0), {"adaptive_backtracking": 1}),
-}
-
 CASES = [
     pytest.param(engine, name, closed, expected, id=f"{engine}-{name}"
                  + ("-closed" if closed else ""))
-    for engine, table in (("pipeline", PIPELINE), ("adaptive", ADAPTIVE))
+    for engine, table in (("pipeline", PIPELINE),)
     for (name, closed), expected in table.items()
 ]
 
@@ -118,5 +106,5 @@ def test_counters_match_the_recorded_values(sites, engine, name, closed, expecte
     assert {
         key: value
         for key, value in stats.extra.items()
-        if key.startswith(("adaptive_", "fallback_"))
+        if key.startswith("fallback_")
     } == extras

@@ -326,19 +326,17 @@ class TestStatsAndOptions:
         assert stats.hashjoin_rows > 0
         assert stats.edge_checks > 0
 
-    def test_stats_populated_adaptive_default(self, bib):
-        # the default engine is adaptive: per-fragment cost decisions are
-        # recorded, and the bindings match the forced engines
+    def test_stats_populated_pipeline_default(self, bib):
+        # the default engine is the pipeline: the one coverable fragment
+        # runs set-at-a-time, and the bindings match the forced engines
         q = QueryBuilder()
         book = q.box("book", id="B")
         q.box("title", id="T", parent=book)
         stats = EvalStats()
         match(q.graph(), bib, stats=stats)
         assert stats.bindings_produced == 3
-        decisions = stats.extra.get("adaptive_pipeline", 0) + stats.extra.get(
-            "adaptive_backtracking", 0
-        )
-        assert decisions == 1
+        assert stats.pipeline_fragments == 1
+        assert stats.pipeline_fallbacks == 0
 
     def test_stats_populated_backtracking(self, bib):
         q = QueryBuilder()
@@ -358,7 +356,7 @@ class TestStatsAndOptions:
         q.attribute(book, "year", id="Y")
         baseline = match(q.graph(), bib)
         for planner in (True, False):
-            for engine in ("adaptive", "naive"):
+            for engine in ("pipeline", "naive"):
                 options = ExecOptions(use_planner=planner, engine=engine)
                 result = match(q.graph(), bib, options=options)
                 assert len(result) == len(baseline)
